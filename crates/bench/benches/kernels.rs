@@ -61,7 +61,7 @@ fn bench_executor(c: &mut Criterion) {
     // generic-path regression), and the fused microkernel build must
     // beat the generic executor by ≥ 2× (mirroring the perf-gate bar).
     // Skipped in smoke mode (it times 7 full interpreter runs).
-    if std::env::var_os("SPARSETIR_BENCH_SMOKE").is_some() {
+    if std::env::var_os("SPARSETIR_SMOKE").is_some() {
         return;
     }
     let feat = 32;

@@ -4,32 +4,10 @@
 
 use sparsetir_ir::eval::TensorData;
 use sparsetir_smat::prelude::*;
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Tensor bindings keyed by buffer name.
 pub type Bindings = HashMap<String, TensorData>;
-
-thread_local! {
-    /// Dense operand/output bytes memcpy'd on this thread by the batching
-    /// helpers (`stack`/`split`, `read_dense`, output extraction). The
-    /// serving engine samples it around each batch launch to attribute
-    /// copies per engine without cross-test interference; the zero-copy
-    /// view paths leave it untouched.
-    static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Cumulative dense bytes copied on the calling thread (see
-/// [`count_bytes_copied`]).
-#[must_use]
-pub fn bytes_copied_on_thread() -> u64 {
-    BYTES_COPIED.with(Cell::get)
-}
-
-/// Record `n` dense bytes copied on the calling thread.
-pub fn count_bytes_copied(n: u64) {
-    BYTES_COPIED.with(|c| c.set(c.get() + n));
-}
 
 /// Bind a CSR matrix: `<prefix>_indptr`, `<prefix>_indices` (i32) and the
 /// value buffer `name` (flat nnz values).
@@ -99,7 +77,6 @@ pub fn bind_bucket(bindings: &mut Bindings, name: &str, prefix: &str, bucket: &E
 pub fn read_dense(bindings: &Bindings, name: &str, rows: usize, cols: usize) -> Dense {
     let data =
         bindings.get(name).unwrap_or_else(|| panic!("binding `{name}` missing")).as_f32().to_vec();
-    count_bytes_copied(data.len() as u64 * 4);
     Dense::from_vec(rows, cols, data).expect("shape matches binding length")
 }
 

@@ -15,8 +15,9 @@
 //!   fused GraphSAGE layer step all submit, batch, tune and answer
 //!   through the same machinery ([`Engine::submit`] → [`Ticket`] →
 //!   [`OpOutput`]). Built via `Submission::spmm(feat).deadline(d)
-//!   .priority(Priority::Hi)`-style constructors; the pre-0.2 per-op
-//!   `submit_*`/sync wrappers remain as deprecated one-line shims.
+//!   .priority(Priority::Hi)`-style constructors and served through
+//!   [`Engine::submit`], [`Engine::try_submit`] or the blocking
+//!   [`Engine::serve`].
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -27,8 +28,8 @@
 //! * **Adaptive batch window** ([`EngineConfig::batch_window`]): a
 //!   worker with rider room and a drained queue waits briefly for more
 //!   compatible arrivals when traffic predicts them, and fires
-//!   immediately under deadline pressure. `None` keeps the legacy
-//!   greedy drain.
+//!   immediately under deadline pressure. `None` keeps the greedy
+//!   drain.
 //! * **Cross-op fusion with a kill switch**: [`EngineConfig::fuse`]
 //!   selects whether fused ops compile their whole pipeline into one
 //!   kernel or fall back to the multi-launch path (`None` follows the
@@ -41,11 +42,13 @@
 //!   and reuses the same per-`(adjacency, op)` tuning decisions.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
-//!   folded into one widened kernel launch — column stacking for
-//!   SpMM/attention, block-diagonal stacking for SDDMM — and split back
-//!   per request. The fixed per-request costs (lowering, IR
-//!   fingerprinting, dispatch) are paid once per batch. Results are
-//!   bit-identical to unbatched execution.
+//!   folded into one widened kernel launch — column widening for
+//!   SpMM/attention, a widened multi-head launch for SDDMM. The launch
+//!   binds every rider's operands in place as segmented views and writes
+//!   each result straight into the rider's own output buffer, so batching
+//!   copies no operand or result bytes. The fixed per-request costs
+//!   (lowering, IR fingerprinting, dispatch) are paid once per batch.
+//!   Results are bit-identical to unbatched execution.
 //! * **Bounded queue with backpressure**: blocking submits wait while
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with

@@ -79,7 +79,6 @@ pub(crate) struct StatsInner {
     pub latency_ns_sum: AtomicU64,
     pub latency_ns_max: AtomicU64,
     pub worker_panics: AtomicU64,
-    pub bytes_copied: AtomicU64,
     pub deltas_applied: AtomicU64,
     pub retunes_started: AtomicU64,
     pub retunes_completed: AtomicU64,
@@ -206,7 +205,6 @@ impl StatsInner {
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             pool_hits: 0,
             pool_misses: 0,
-            bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
             retunes_started: self.retunes_started.load(Ordering::Relaxed),
             retunes_completed: self.retunes_completed.load(Ordering::Relaxed),
@@ -411,13 +409,6 @@ pub struct EngineStats {
     /// Scratch-buffer acquisitions that fell through to a fresh
     /// allocation (cold classes, or a drained size class).
     pub pool_misses: u64,
-    /// Operand/result bytes memcpy'd by the batching layer while serving.
-    /// The zero-copy view path keeps this at 0 for batchable ops; it
-    /// counts only under the `SPARSETIR_COPY_BATCH` oracle (or
-    /// [`EngineConfig::copy_batch`](crate::EngineConfig::copy_batch)),
-    /// where every batch stacks operands into widened staging buffers and
-    /// splits results back out.
-    pub bytes_copied: u64,
     /// Graph deltas applied through
     /// [`Engine::apply_delta`](crate::Engine::apply_delta).
     pub deltas_applied: u64,
@@ -515,7 +506,6 @@ impl EngineStats {
             worker_panics: self.worker_panics.saturating_sub(earlier.worker_panics),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
             pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
-            bytes_copied: self.bytes_copied.saturating_sub(earlier.bytes_copied),
             deltas_applied: self.deltas_applied.saturating_sub(earlier.deltas_applied),
             retunes_started: self.retunes_started.saturating_sub(earlier.retunes_started),
             retunes_completed: self.retunes_completed.saturating_sub(earlier.retunes_completed),

@@ -1,8 +1,9 @@
 //! The options-carrying submission surface: one request type per served
 //! op plus the SLO envelope it travels in — deadline, priority class and
-//! per-request tuning override. `Submission` is the v0.2 public face of
-//! [`Engine::submit`](crate::Engine::submit); the old per-op wrapper
-//! methods are thin deprecated shims over these constructors.
+//! per-request tuning override. `Submission` is what
+//! [`Engine::submit`](crate::Engine::submit),
+//! [`Engine::try_submit`](crate::Engine::try_submit) and
+//! [`Engine::serve`](crate::Engine::serve) accept.
 
 use crate::engine::OpRequest;
 use sparsetir_kernels::prelude::AttnHead;
@@ -19,7 +20,8 @@ use std::time::Duration;
 pub enum Priority {
     /// Best-effort background work: first to be shed under load.
     Lo,
-    /// The default class — what every legacy wrapper submits.
+    /// The default class — what a submission without `.priority(..)`
+    /// carries.
     #[default]
     Normal,
     /// Latency-sensitive work: served ahead of every other class and
@@ -135,8 +137,8 @@ pub struct SubmitOpts {
 ///
 /// A bare [`OpRequest`] converts `Into<Submission>` with default options
 /// (no deadline, [`Priority::Normal`], engine-wide tuning), so
-/// `engine.submit(&adj, req)` keeps compiling — the legacy behavior is
-/// the default-options corner of this surface.
+/// `engine.submit(&adj, req)` is the default-options corner of this
+/// surface.
 ///
 /// [`Engine::submit`]: crate::Engine::submit
 #[derive(Debug, Clone)]

@@ -2,17 +2,12 @@
 //! request sets — widths 0, 1, and mixed — the batched engine output of
 //! *every served op* (SpMM, SDDMM, multi-head attention) must be
 //! bit-identical to a sequential loop of the op's single-request
-//! `*_execute` calls, including the stack/split round-trips. This is the
+//! `*_execute` calls, including zero-width riders. This is the
 //! serving-path analogue of the executor's interpreter-differential
 //! suite: batching must be a pure performance transformation.
-//!
-//! The suite goes through the deprecated per-op wrappers on purpose:
-//! they are one-line shims over the `Submission` path and must keep
-//! answering bit-identically across the API redesign.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
-use sparsetir_engine::{Adjacency, Engine, EngineConfig};
+use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     attention_pipeline_launch, csr_spmm_execute, sddmm_batched_execute, sddmm_execute,
@@ -140,7 +135,7 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit_spmm(&adj, x.clone()).expect("submits"))
+            .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
             .collect();
         for (i, (x, t)) in xs.iter().zip(tickets).enumerate() {
             let got = t.wait_dense().expect("engine answers");
@@ -187,7 +182,7 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|(x, y)| engine.submit_sddmm(&adj, x.clone(), y.clone()).expect("submits"))
+            .map(|(x, y)| engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits"))
             .collect();
         for (i, ((x, y), t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_edges().expect("engine answers");
@@ -218,7 +213,7 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|heads| engine.submit_attention(&adj, heads.clone()).expect("submits"))
+            .map(|heads| engine.submit(&adj, Submission::attention(heads.clone())).expect("submits"))
             .collect();
         for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_heads().expect("engine answers");
@@ -286,7 +281,7 @@ proptest! {
         });
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|heads| engine.submit_fused_attention(&adj, heads.clone()).expect("submits"))
+            .map(|heads| engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits"))
             .collect();
         let oracle_rt = Runtime::new();
         for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {

@@ -1,19 +1,14 @@
-//! Zero-copy serving differential suite: the segmented-view batching
-//! path must be bit-identical to the legacy copying contract
-//! (`stack`/`launch_stacked`/`split`), which survives behind
-//! [`EngineConfig::copy_batch`] as the oracle. Both engines run in one
-//! process with the mode pinned through the config — no environment
-//! races — across widths 0, 1 and mixed, empty rows (random matrices
-//! produce them by construction), 0-head attention riders, and
-//! mid-drain expiry.
-//!
-//! The suite also pins the headline counter: `bytes_copied` stays 0 on
-//! the view path — for widened batches *and* the batch-of-one fast path
-//! — while the copy oracle visibly pays for its staging.
+//! Zero-copy serving differential suite: widened launches that bind
+//! every rider's operands and outputs as segmented views must be
+//! bit-identical to per-request sequential serving — each request served
+//! alone, one after another, on a fresh engine with `max_batch: 1`.
+//! Cases cover widths 0, 1 and mixed, empty rows (random matrices produce
+//! them by construction), 0-head attention riders, the batch-of-one
+//! path, buffer-pool reuse and mid-drain expiry.
 
 use proptest::prelude::*;
 use sparsetir_engine::{
-    Adjacency, Engine, EngineConfig, EngineError, Priority, RejectReason, Submission,
+    Adjacency, Engine, EngineConfig, EngineError, Priority, RejectReason, Submission, Ticket,
 };
 use sparsetir_kernels::prelude::AttnHead;
 use sparsetir_smat::prelude::*;
@@ -49,7 +44,9 @@ fn fused_attn_shapes() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
     )
 }
 
-fn engine_with(copy_batch: bool) -> Engine {
+/// The engine under test: two workers folding up to eight riders into
+/// one widened view launch.
+fn batched() -> Engine {
     Engine::new(EngineConfig {
         workers: 2,
         queue_depth: 32,
@@ -57,9 +54,14 @@ fn engine_with(copy_batch: bool) -> Engine {
         tune: false,
         fuse: None,
         batch_window: None,
-        copy_batch,
         ..EngineConfig::default()
     })
+}
+
+/// The oracle: a fresh engine that never batches. Callers serve each
+/// request to completion before submitting the next.
+fn sequential() -> Engine {
+    Engine::new(EngineConfig { workers: 1, max_batch: 1, ..EngineConfig::default() })
 }
 
 fn assert_dense_bits(got: &Dense, want: &Dense, tag: &str) -> Result<(), TestCaseError> {
@@ -92,22 +94,13 @@ fn assert_slice_bits(got: &[f32], want: &[f32], tag: &str) -> Result<(), TestCas
     Ok(())
 }
 
-/// The view engine must never copy. (The copy engine's counter can
-/// legitimately stay 0 here — a width-≥2 batch of all-zero-width riders
-/// stages nothing — so its liveness is pinned by the deterministic
-/// forced-batch test below instead.)
-fn assert_view_zero_copy(view: &sparsetir_engine::EngineStats) -> Result<(), TestCaseError> {
-    prop_assert!(view.bytes_copied == 0, "view path must be zero-copy: {:?}", view);
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// SpMM: view-path answers vs the copy oracle, bit for bit, across
+    /// SpMM: batched answers vs sequential serving, bit for bit, across
     /// widths 0/1/mixed.
     #[test]
-    fn spmm_view_path_matches_copy_oracle(
+    fn spmm_view_path_matches_sequential_serving(
         a in sparse_matrix(16, 48),
         widths in request_widths(),
         seed in 0u64..1 << 32,
@@ -116,30 +109,27 @@ proptest! {
         let xs: Vec<Dense> =
             widths.iter().map(|&w| gen::random_dense(a.cols(), w, &mut rng)).collect();
         let adj = Adjacency::new(a);
-        let view = engine_with(false);
-        let copy = engine_with(true);
-        let view_tickets: Vec<_> = xs
+        let engine = batched();
+        let tickets: Vec<_> = xs
             .iter()
-            .map(|x| view.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+            .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
             .collect();
-        let copy_tickets: Vec<_> = xs
-            .iter()
-            .map(|x| copy.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
-            .collect();
-        for (i, (vt, ct)) in view_tickets.into_iter().zip(copy_tickets).enumerate() {
-            let got = vt.wait_dense().expect("view engine answers");
-            let want = ct.wait_dense().expect("copy engine answers");
+        let oracle = sequential();
+        for (i, (t, x)) in tickets.into_iter().zip(&xs).enumerate() {
+            let got = t.wait_dense().expect("batched engine answers");
+            let want = oracle
+                .submit(&adj, Submission::spmm(x.clone()))
+                .and_then(Ticket::wait_dense)
+                .expect("sequential engine answers");
             assert_dense_bits(&got, &want, &format!("request {i}"))?;
         }
-        assert_view_zero_copy(&view.stats())?;
-        drop(copy);
     }
 
     /// SDDMM: mixed inner widths (compatible requests batch
-    /// block-diagonally, incompatible ones dispatch alone), view vs
-    /// copy, bit for bit.
+    /// into one widened launch, incompatible ones dispatch alone) vs
+    /// sequential serving, bit for bit.
     #[test]
-    fn sddmm_view_path_matches_copy_oracle(
+    fn sddmm_view_path_matches_sequential_serving(
         a in sparse_matrix(12, 36),
         widths in request_widths(),
         seed in 0u64..1 << 32,
@@ -152,33 +142,29 @@ proptest! {
             })
             .collect();
         let adj = Adjacency::new(a);
-        let view = engine_with(false);
-        let copy = engine_with(true);
-        let view_tickets: Vec<_> = reqs
+        let engine = batched();
+        let tickets: Vec<_> = reqs
             .iter()
             .map(|(x, y)| {
-                view.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
+                engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
             })
             .collect();
-        let copy_tickets: Vec<_> = reqs
-            .iter()
-            .map(|(x, y)| {
-                copy.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
-            })
-            .collect();
-        for (i, (vt, ct)) in view_tickets.into_iter().zip(copy_tickets).enumerate() {
-            let got = vt.wait_edges().expect("view engine answers");
-            let want = ct.wait_edges().expect("copy engine answers");
+        let oracle = sequential();
+        for (i, (t, (x, y))) in tickets.into_iter().zip(&reqs).enumerate() {
+            let got = t.wait_edges().expect("batched engine answers");
+            let want = oracle
+                .submit(&adj, Submission::sddmm(x.clone(), y.clone()))
+                .and_then(Ticket::wait_edges)
+                .expect("sequential engine answers");
             assert_slice_bits(&got, &want, &format!("request {i}"))?;
         }
-        assert_view_zero_copy(&view.stats())?;
-        drop(copy);
     }
 
     /// Fused attention: mixed per-request head counts and `(k, vfeat)`
-    /// shapes, 0-head riders included, view vs copy, bit for bit.
+    /// shapes, 0-head riders included, batched vs sequential serving,
+    /// bit for bit.
     #[test]
-    fn fused_attention_view_path_matches_copy_oracle(
+    fn fused_attention_view_path_matches_sequential_serving(
         a in sparse_matrix(12, 36),
         shapes in fused_attn_shapes(),
         seed in 0u64..1 << 32,
@@ -197,36 +183,32 @@ proptest! {
             })
             .collect();
         let adj = Adjacency::new(a);
-        let view = engine_with(false);
-        let copy = engine_with(true);
-        let view_tickets: Vec<_> = reqs
+        let engine = batched();
+        let tickets: Vec<_> = reqs
             .iter()
             .map(|heads| {
-                view.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
+                engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
             })
             .collect();
-        let copy_tickets: Vec<_> = reqs
-            .iter()
-            .map(|heads| {
-                copy.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
-            })
-            .collect();
-        for (i, (vt, ct)) in view_tickets.into_iter().zip(copy_tickets).enumerate() {
-            let got = vt.wait_heads().expect("view engine answers");
-            let want = ct.wait_heads().expect("copy engine answers");
+        let oracle = sequential();
+        for (i, (t, heads)) in tickets.into_iter().zip(&reqs).enumerate() {
+            let got = t.wait_heads().expect("batched engine answers");
+            let want = oracle
+                .submit(&adj, Submission::fused_attention(heads.clone()))
+                .and_then(Ticket::wait_heads)
+                .expect("sequential engine answers");
             prop_assert_eq!(got.len(), want.len());
             for (h, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_dense_bits(g, w, &format!("request {i} head {h}"))?;
             }
         }
-        assert_view_zero_copy(&view.stats())?;
-        drop(copy);
     }
 
     /// Multi-head (unfused) attention: per-request head lists batch
-    /// column-wise across requests; view vs copy, bit for bit.
+    /// column-wise across requests; batched vs sequential serving, bit
+    /// for bit.
     #[test]
-    fn attention_view_path_matches_copy_oracle(
+    fn attention_view_path_matches_sequential_serving(
         a in sparse_matrix(12, 36),
         heads_per_req in proptest::collection::vec(
             prop_oneof![Just(0usize), Just(1usize), 2usize..4], 1..5),
@@ -238,33 +220,33 @@ proptest! {
             .map(|&h| (0..h).map(|_| gen::random_dense(a.cols(), 1 + (h % 4), &mut rng)).collect())
             .collect();
         let adj = Adjacency::new(a);
-        let view = engine_with(false);
-        let copy = engine_with(true);
-        let view_tickets: Vec<_> = reqs
+        let engine = batched();
+        let tickets: Vec<_> = reqs
             .iter()
-            .map(|heads| view.submit(&adj, Submission::attention(heads.clone())).expect("submits"))
+            .map(|heads| {
+                engine.submit(&adj, Submission::attention(heads.clone())).expect("submits")
+            })
             .collect();
-        let copy_tickets: Vec<_> = reqs
-            .iter()
-            .map(|heads| copy.submit(&adj, Submission::attention(heads.clone())).expect("submits"))
-            .collect();
-        for (i, (vt, ct)) in view_tickets.into_iter().zip(copy_tickets).enumerate() {
-            let got = vt.wait_heads().expect("view engine answers");
-            let want = ct.wait_heads().expect("copy engine answers");
+        let oracle = sequential();
+        for (i, (t, heads)) in tickets.into_iter().zip(&reqs).enumerate() {
+            let got = t.wait_heads().expect("batched engine answers");
+            let want = oracle
+                .submit(&adj, Submission::attention(heads.clone()))
+                .and_then(Ticket::wait_heads)
+                .expect("sequential engine answers");
             prop_assert_eq!(got.len(), want.len());
             for (h, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_dense_bits(g, w, &format!("request {i} head {h}"))?;
             }
         }
-        assert_view_zero_copy(&view.stats())?;
-        drop(copy);
     }
 }
 
 /// Deterministically force a widened batch: occupy the single worker
 /// with a heavy job, queue `riders` compatible requests behind it, and
-/// return the engine once everything answered.
-fn run_forced_batch(copy_batch: bool, riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
+/// return the engine, the rider adjacency, operands and answers once
+/// everything answered.
+fn run_forced_batch(riders: usize) -> (Engine, Adjacency, Vec<Dense>, Vec<Dense>) {
     let mut rng = gen::rng(0x2c0);
     let heavy_adj = Adjacency::new(gen::random_csr(512, 512, 0.1, &mut rng));
     let heavy_x = gen::random_dense(512, 128, &mut rng);
@@ -279,7 +261,6 @@ fn run_forced_batch(copy_batch: bool, riders: usize) -> (Engine, Vec<Dense>, Vec
         tune: false,
         fuse: None,
         batch_window: None,
-        copy_batch,
         ..EngineConfig::default()
     });
     let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
@@ -293,48 +274,38 @@ fn run_forced_batch(copy_batch: bool, riders: usize) -> (Engine, Vec<Dense>, Vec
     heavy.wait_dense().expect("heavy job serves");
     let outs: Vec<Dense> =
         tickets.into_iter().map(|t| t.wait_dense().expect("rider serves")).collect();
-    (engine, xs, outs)
+    (engine, adj, xs, outs)
 }
 
-/// The acceptance headline: a *batched* SpMM launch on the view path
-/// copies zero operand and zero output bytes — the riders' answers land
-/// straight in their own buffers.
+/// A forced *batched* SpMM launch answers every rider exactly like
+/// serving it alone.
 #[test]
-fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
-    let (engine, xs, outs) = run_forced_batch(false, 4);
+fn forced_batch_matches_sequential_serving() {
+    let (engine, adj, xs, outs) = run_forced_batch(4);
     let stats = engine.stats();
     assert!(stats.max_batch >= 2, "riders must have shared a widened launch: {stats:?}");
-    assert_eq!(stats.bytes_copied, 0, "view path must copy nothing: {stats:?}");
-    for (x, out) in xs.iter().zip(&outs) {
+    let oracle = sequential();
+    for (i, (x, out)) in xs.iter().zip(&outs).enumerate() {
+        let want = oracle
+            .submit(&adj, Submission::spmm(x.clone()))
+            .and_then(Ticket::wait_dense)
+            .expect("sequential engine answers");
         assert_eq!((out.rows(), out.cols()), (24, x.cols()));
+        assert!(
+            out.data().iter().zip(want.data()).all(|(g, w)| g.to_bits() == w.to_bits()),
+            "rider {i} differs from sequential serving"
+        );
     }
 }
 
-/// The same forced batch under the copy oracle pays for its staging —
-/// the counter is live, so the view path's 0 above is meaningful.
-#[test]
-fn batched_spmm_launch_counts_bytes_on_copy_path() {
-    let (engine, xs, _outs) = run_forced_batch(true, 4);
-    let stats = engine.stats();
-    assert!(stats.max_batch >= 2, "riders must have shared a widened launch: {stats:?}");
-    // Lower bound: the operand stack alone re-stages every rider input.
-    let operand_bytes: u64 = xs.iter().map(|x| x.data().len() as u64 * 4).sum();
-    assert!(
-        stats.bytes_copied >= operand_bytes,
-        "copy oracle staged {} bytes, expected at least {operand_bytes}: {stats:?}",
-        stats.bytes_copied
-    );
-}
-
 /// Batch-of-one fast path: a lone request of every batchable kind runs
-/// end-to-end with zero copies — single-segment views bind the caller's
-/// buffers directly.
+/// end to end — single-segment views bind the caller's buffers directly.
 #[test]
-fn batch_of_one_is_zero_copy_end_to_end() {
+fn batch_of_one_serves_every_batchable_kind() {
     let mut rng = gen::rng(0x2c1);
     let a = gen::random_csr(32, 32, 0.25, &mut rng);
     let adj = Adjacency::new(a);
-    let engine = engine_with(false);
+    let engine = batched();
 
     let x = gen::random_dense(32, 5, &mut rng);
     engine.serve(&adj, Submission::spmm(x)).expect("spmm serves");
@@ -351,7 +322,7 @@ fn batch_of_one_is_zero_copy_end_to_end() {
 
     let stats = engine.stats();
     assert_eq!(stats.completed, 3, "all three singleton requests answered: {stats:?}");
-    assert_eq!(stats.bytes_copied, 0, "batch-of-one must be zero-copy: {stats:?}");
+    assert_eq!(stats.max_batch, 1, "every request dispatched alone: {stats:?}");
 }
 
 /// Scratch buffers for the fused-attention pipeline come from the
@@ -362,7 +333,7 @@ fn repeated_serving_hits_the_buffer_pool() {
     let mut rng = gen::rng(0x2c2);
     let a = gen::random_csr(32, 32, 0.25, &mut rng);
     let adj = Adjacency::new(a);
-    let engine = engine_with(false);
+    let engine = batched();
     for _ in 0..3 {
         let heads = vec![AttnHead {
             q: gen::random_dense(32, 3, &mut rng),
@@ -379,8 +350,8 @@ fn repeated_serving_hits_the_buffer_pool() {
 /// Mid-drain expiry on the view path: a victim whose deadline lapses
 /// while the worker grinds a heavy job is swept before dispatch — its
 /// live rider still batches and answers, the victim's output buffer is
-/// never assembled or written (no launch of its kind beyond the rider's,
-/// nothing copied), and the answer is `Rejected { Expired }`.
+/// never assembled or written (no launch of its kind beyond the rider's),
+/// and the answer is `Rejected { Expired }`.
 #[test]
 fn expired_victim_is_swept_without_writing_its_buffer() {
     let mut rng = gen::rng(0x2c3);
@@ -398,7 +369,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         tune: false,
         fuse: None,
         batch_window: None,
-        copy_batch: false,
         ..EngineConfig::default()
     });
     let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
@@ -422,7 +392,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
     assert_eq!(stats.expired, 1, "exactly the victim expired: {stats:?}");
     assert_eq!(stats.completed, 2, "heavy + rider answered: {stats:?}");
     assert_eq!(stats.priority(Priority::Normal).expired, 1);
-    assert_eq!(stats.bytes_copied, 0, "nothing may be staged for the victim: {stats:?}");
     // The victim never reached assembly: every recorded SpMM dispatch is
     // a singleton (heavy, then the rider alone after the sweep).
     let w = stats.widths_of("spmm").expect("spmm dispatched");

@@ -12,15 +12,18 @@
 //!    every [`Var`] and buffer name to a dense integer slot, statically
 //!    type every expression (variables are always integers, buffer loads
 //!    are typed by the buffer's dtype), fold constants, and lower the body
-//!    into a typed instruction tree with no string lookups and no per-step
-//!    allocation.
+//!    into a typed statement tree with no string lookups and no per-step
+//!    allocation. The tree is then lowered once more, to a **flat
+//!    bytecode** stream (the `bytecode` submodule): jump-encoded loops and
+//!    fused microkernels embedded as superinstructions, driven by a single
+//!    `ip`-dispatch loop.
 //! 2. **Execute** ([`CompiledKernel::run`]): bind scalar parameters and
 //!    tensor storage into a flat frame (a `Vec<i64>` of scalar slots and a
-//!    table of raw buffer views) and run the instruction tree. Outermost
-//!    loops bound to `blockIdx.*` dispatch their iterations across OS
-//!    threads — blocks are spatial by construction in SparseTIR's model
-//!    (§3.3), and a conservative taint analysis double-checks that every
-//!    write is indexed by the block variable before parallelizing.
+//!    table of raw buffer views) and run the bytecode. Outermost loops
+//!    bound to `blockIdx.*` dispatch their iterations across OS threads —
+//!    blocks are spatial by construction in SparseTIR's model (§3.3), and
+//!    a conservative taint analysis double-checks that every write is
+//!    indexed by the block variable before parallelizing.
 //!
 //! Compiled kernels are cached by function identity in a [`Runtime`]
 //! (compile once, run many), so repeated validation/autotuning of the same
@@ -34,29 +37,18 @@
 //! errors, casts to integer round-trip through `f64`, and per-dimension
 //! bounds checks fire with the interpreter's error wording.
 //!
-//! On top of the generic tree, a **dense-lane fusion pass** (the `fuse`
-//! submodule)
-//! recognizes innermost loops over contiguous dense axes (the feature
-//! dimension of SpMM/SDDMM, ELL bucket lanes) at compile time and lowers
-//! them to specialized microkernel instructions — `FillLanes`,
-//! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate` — that run tight
-//! per-lane loops instead of per-element instruction dispatch. Fusion is
-//! on by default (`SPARSETIR_NO_FUSE` disables it); the generic form is
-//! retained behind every fused op as the bit-exact fallback, and the
+//! During bytecode lowering a **dense-lane fusion analysis** (the `fuse`
+//! submodule) recognizes innermost loops over contiguous dense axes (the
+//! feature dimension of SpMM/SDDMM, ELL bucket lanes) and emits them as
+//! specialized microkernel superinstructions — `FillLanes`, `AxpyLanes`,
+//! `DotLanes`, `GatherScaleAccumulate` — that run tight per-lane loops
+//! instead of per-element instruction dispatch. Fusion is on by default
+//! (`SPARSETIR_NO_FUSE` disables it); the generic loop is lowered right
+//! behind every superinstruction as the bit-exact fallback, and the
 //! kernel-cache key includes the fusion flag so toggling it never serves
-//! a stale compiled kernel.
-//!
-//! Execution itself has two backends sharing one compiled representation
-//! (see [`ExecBackend`]). The default is the **flat bytecode executor**
-//! (the `bytecode` submodule): the statement tree is lowered once to a
-//! flat instruction stream with jump-encoded loops and the fused
-//! microkernels embedded as superinstructions, then driven by a single
-//! `ip`-dispatch loop. The original recursive **tree walker** stays
-//! available behind the `SPARSETIR_TREE_EXEC` kill switch; the cache key
-//! includes the backend so flipping the switch recompiles rather than
-//! serving a stale kernel. [`CompiledKernel::disassemble`] renders the
-//! bytecode (for either backend) as a stable text listing — see the
-//! `disasm` submodule and the golden-file tests under `tests/golden/`.
+//! a stale compiled kernel. [`CompiledKernel::disassemble`] renders the
+//! bytecode as a stable text listing — see the `disasm` submodule and the
+//! golden-file tests under `tests/golden/`.
 
 use crate::buffer::Buffer;
 use crate::eval::TensorData;
@@ -75,7 +67,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 mod bytecode;
 mod disasm;
 mod fuse;
-use fuse::FusedLanes;
 
 /// Error raised while compiling or executing a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +218,7 @@ struct CompiledTile {
     row_stride: IntExpr,
 }
 
-/// Compiled statement tree.
+/// Compiled statement tree: the input of [`bytecode::lower`].
 #[derive(Debug)]
 enum CStmt {
     For {
@@ -272,9 +263,6 @@ enum CStmt {
     },
     EvalV(ValueExpr),
     Mma(Box<MmaOp>),
-    /// Fused dense-lane loop: microkernel fast path with the generic loop
-    /// retained inside as the bit-exact semantic fallback (see [`fuse`]).
-    Fused(Box<FusedLanes>),
     /// Statement that is ill-typed but only errors if actually executed
     /// (matching the interpreter's lazy runtime errors).
     Fail(String),
@@ -691,130 +679,8 @@ fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-impl CStmt {
-    fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
-        match self {
-            CStmt::For { slot, extent, body } => {
-                let n = extent.eval(fr)?;
-                for i in 0..n {
-                    fr.scalars[*slot as usize] = i;
-                    body.exec(fr)?;
-                }
-                Ok(())
-            }
-            CStmt::ParFor { slot, extent, body } => {
-                let n = extent.eval(fr)?;
-                let threads = num_threads().min(n.max(0) as usize);
-                if threads < 2 {
-                    for i in 0..n {
-                        fr.scalars[*slot as usize] = i;
-                        body.exec(fr)?;
-                    }
-                    return Ok(());
-                }
-                let chunk = (n as usize).div_ceil(threads);
-                let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let lo = (t * chunk) as i64;
-                        let hi = n.min(((t + 1) * chunk) as i64);
-                        if lo >= hi {
-                            break;
-                        }
-                        let tf = SendFrame(Frame {
-                            scalars: fr.scalars.clone(),
-                            bufs: fr.bufs.clone(),
-                            locals: Vec::new(),
-                            pool: None,
-                        });
-                        let first_err = &first_err;
-                        s.spawn(move || {
-                            // Move the whole wrapper (not just `tf.0`) so
-                            // the `Send` impl on `SendFrame` applies.
-                            let mut tf = tf;
-                            for i in lo..hi {
-                                tf.0.scalars[*slot as usize] = i;
-                                if let Err(e) = body.exec(&mut tf.0) {
-                                    let mut g = first_err.lock().unwrap();
-                                    if g.is_none() {
-                                        *g = Some(e);
-                                    }
-                                    return;
-                                }
-                            }
-                        });
-                    }
-                });
-                match first_err.into_inner().unwrap() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-            CStmt::Block(b) => {
-                let mut any_reduce_nonzero = false;
-                for (slot, binding, is_reduce) in &b.iters {
-                    let v = binding.eval(fr)?;
-                    if *is_reduce && v != 0 {
-                        any_reduce_nonzero = true;
-                    }
-                    fr.scalars[*slot as usize] = v;
-                }
-                let init_needed =
-                    if b.all_spatial { b.init.is_some() } else { !any_reduce_nonzero };
-                if init_needed {
-                    if let Some(init) = &b.init {
-                        init.exec(fr)?;
-                    }
-                }
-                b.body.exec(fr)
-            }
-            CStmt::StoreF { buf, index, value } => exec_store_f(fr, *buf, index, value),
-            CStmt::StoreI { buf, index, value } => exec_store_i(fr, *buf, index, value),
-            CStmt::Seq(stmts) => {
-                for s in stmts {
-                    s.exec(fr)?;
-                }
-                Ok(())
-            }
-            CStmt::If { cond, then_, else_ } => {
-                if cond.eval(fr)? {
-                    then_.exec(fr)
-                } else if let Some(e) = else_ {
-                    e.exec(fr)
-                } else {
-                    Ok(())
-                }
-            }
-            CStmt::Let { slot, value, body } => {
-                let v = value.eval(fr)?;
-                fr.scalars[*slot as usize] = v;
-                body.exec(fr)
-            }
-            CStmt::Alloc { buf, is_float, len_dims, body } => {
-                let mut len: i64 = 1;
-                for d in len_dims {
-                    len *= d.eval(fr)?;
-                }
-                let mut data = alloc_local(fr, *is_float, len as usize);
-                let view = RawBuf::of(&mut data);
-                fr.locals.push(data);
-                let saved = fr.bufs[*buf as usize];
-                fr.bufs[*buf as usize] = view;
-                let r = body.exec(fr);
-                fr.bufs[*buf as usize] = saved;
-                free_local(fr);
-                r
-            }
-            CStmt::EvalV(e) => e.eval_for_effect(fr),
-            CStmt::Mma(op) => exec_mma(fr, &op.c, &op.a, &op.b, op.m, op.n, op.k),
-            CStmt::Fused(f) => f.exec(fr),
-            CStmt::Fail(msg) => Err(ExecError::new(msg.clone())),
-        }
-    }
-}
-
 /// Acquire one kernel-local scratch buffer, from the frame's pool when
-/// present (zeroed either way). Shared by the tree and bytecode `Alloc`.
+/// present (zeroed either way).
 #[inline]
 fn alloc_local(fr: &Frame, is_float: bool, len: usize) -> TensorData {
     match (&fr.pool, is_float) {
@@ -839,8 +705,8 @@ fn free_local(fr: &mut Frame) {
 }
 
 /// `BufferStore` into a float buffer: value first, then index, then the
-/// dtype-dispatched store — shared verbatim by the tree and bytecode
-/// executors so evaluation order and error wording stay identical.
+/// dtype-dispatched store — the interpreter's evaluation order and error
+/// wording, exactly.
 #[inline]
 fn exec_store_f(
     fr: &Frame,
@@ -1687,49 +1553,6 @@ fn check_parallel(s: &Stmt, tainted: &mut HashSet<Rc<str>>, locals: &mut HashSet
 // Public API
 // ---------------------------------------------------------------------------
 
-/// Executor backend a kernel is compiled for. Both execute the same
-/// slot-compiled program with bit-identical semantics (the interpreter
-/// stays the oracle for both); they differ only in dispatch shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecBackend {
-    /// Recursive typed-instruction-tree walk (the original executor,
-    /// retained behind the `SPARSETIR_TREE_EXEC` kill switch).
-    Tree,
-    /// Flat bytecode stream driven by an instruction-pointer dispatch
-    /// loop, with jump-encoded loops and fused-lane superinstructions.
-    Bytecode,
-}
-
-impl ExecBackend {
-    /// Stable lowercase tag (cache diagnostics, disassembly header).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            ExecBackend::Tree => "tree",
-            ExecBackend::Bytecode => "bytecode",
-        }
-    }
-}
-
-/// Backend default for [`CompiledKernel::compile`] and new [`Runtime`]s:
-/// the flat bytecode executor, unless the `SPARSETIR_TREE_EXEC`
-/// environment variable is set (the kill switch back to the tree walker).
-#[must_use]
-pub fn backend_default() -> ExecBackend {
-    if std::env::var_os("SPARSETIR_TREE_EXEC").is_some() {
-        ExecBackend::Tree
-    } else {
-        ExecBackend::Bytecode
-    }
-}
-
-/// Executable form of a compiled kernel body, one variant per backend.
-#[derive(Debug)]
-enum Body {
-    Tree(CStmt),
-    Code(bytecode::Code),
-}
-
 /// A compiled, reusable kernel: run it many times against different tensor
 /// bindings without re-walking the IR.
 pub struct CompiledKernel {
@@ -1740,11 +1563,8 @@ pub struct CompiledKernel {
     buffers: Vec<(String, bool, u32)>,
     n_slots: u32,
     n_bufs: u32,
-    body: Body,
-    backend: ExecBackend,
+    body: bytecode::Code,
     fuse: bool,
-    /// Number of dense-lane microkernel instructions fused into the body.
-    fused_ops: usize,
     /// Source name of every scalar slot, by index (disassembly).
     slot_names: Vec<String>,
     /// Source name of every buffer slot, by index (disassembly).
@@ -1771,47 +1591,27 @@ impl fmt::Debug for CompiledKernel {
 
 impl CompiledKernel {
     /// Compile `func` into a slot-indexed program with the default fusion
-    /// setting ([`fusion_default`]) and executor backend
-    /// ([`backend_default`]).
+    /// setting ([`fusion_default`]).
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile(func: &PrimFunc) -> Result<CompiledKernel, ExecError> {
-        Self::compile_opts(func, fusion_default(), backend_default())
+        Self::compile_with(func, fusion_default())
     }
 
     /// Compile `func`, explicitly enabling (`true`) or disabling
     /// (`false`) the dense-lane microkernel fusion pass. With fusion off
     /// the kernel runs entirely on generic dispatch — the baseline the
-    /// `executor_vectorization` bench compares against. Uses the default
-    /// executor backend ([`backend_default`]).
+    /// `executor_vectorization` bench compares against. With fusion on,
+    /// lowering emits a superinstruction in place of each matching loop
+    /// (the generic loop lowers right behind it as the bit-exact
+    /// fallback).
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile_with(func: &PrimFunc, fuse: bool) -> Result<CompiledKernel, ExecError> {
-        Self::compile_opts(func, fuse, backend_default())
-    }
-
-    /// Compile `func` with an explicit fusion flag and executor backend.
-    ///
-    /// Both backends start from the same slot-compiled statement tree.
-    /// For [`ExecBackend::Tree`] the fusion pass rewrites matching loops
-    /// into fused tree nodes; for [`ExecBackend::Bytecode`] the tree is
-    /// lowered to a flat instruction stream, with the fusion analysis
-    /// consulted during lowering to emit superinstructions in place of
-    /// matching loops (the generic loop lowers right behind each one as
-    /// the bit-exact fallback).
-    ///
-    /// # Errors
-    /// Returns [`ExecError`] on references to unbound names or ill-typed
-    /// constructs that the interpreter would also reject.
-    pub fn compile_opts(
-        func: &PrimFunc,
-        fuse: bool,
-        backend: ExecBackend,
-    ) -> Result<CompiledKernel, ExecError> {
         let mut c = Compiler::new();
         let mut params = Vec::with_capacity(func.params.len());
         for p in &func.params {
@@ -1825,17 +1625,7 @@ impl CompiledKernel {
         }
         let tree = c.compile_stmt(&func.body, true)?;
         let plan = MemoryPlan::of(func, &buffers, &c.buf_names, &tree);
-        let (body, fused_ops) = match backend {
-            ExecBackend::Tree => {
-                let (tree, fused_ops) = if fuse { fuse::fuse_stmt(tree) } else { (tree, 0) };
-                (Body::Tree(tree), fused_ops)
-            }
-            ExecBackend::Bytecode => {
-                let code = bytecode::lower(&tree, fuse);
-                let fused_ops = code.fused_ops();
-                (Body::Code(code), fused_ops)
-            }
-        };
+        let body = bytecode::lower(&tree, fuse);
         Ok(CompiledKernel {
             name: func.name.to_string(),
             params,
@@ -1843,9 +1633,7 @@ impl CompiledKernel {
             n_slots: c.n_slots,
             n_bufs: c.n_bufs,
             body,
-            backend,
             fuse,
-            fused_ops,
             slot_names: c.slot_names,
             buf_names: c.buf_names,
             frame_pool: Mutex::new(Vec::new()),
@@ -1873,54 +1661,30 @@ impl CompiledKernel {
     /// innermost loop matched a contiguous dense-lane pattern.
     #[must_use]
     pub fn fused_ops(&self) -> usize {
-        self.fused_ops
+        self.body.fused_ops()
     }
 
     /// Names of the fused microkernel instructions, in program order
     /// (diagnostics; e.g. `["FillLanes", "AxpyLanes"]` for the hyb SpMM).
     #[must_use]
     pub fn fused_kinds(&self) -> Vec<&'static str> {
-        let mut out = Vec::with_capacity(self.fused_ops);
-        match &self.body {
-            Body::Tree(t) => fuse::collect_micros(t, &mut out),
-            Body::Code(c) => c.collect_micros(&mut out),
-        }
+        let mut out = Vec::with_capacity(self.fused_ops());
+        self.body.collect_micros(&mut out);
         out
-    }
-
-    /// The executor backend this kernel was compiled for.
-    #[must_use]
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Stable text listing of the kernel's flat bytecode: header, param
     /// and buffer tables, the scalar-slot table, and one line per
-    /// instruction. Tree-backed kernels lower their tree on demand, so
-    /// the listing is identical for both backends of one compilation —
-    /// golden-file tests on codegen hold regardless of the kill switch.
+    /// instruction (golden-file tests on codegen diff against it).
     #[must_use]
     pub fn disassemble(&self) -> String {
-        match &self.body {
-            Body::Code(code) => disasm::render(self, code),
-            Body::Tree(t) => disasm::render(self, &bytecode::lower(t, self.fuse)),
-        }
+        disasm::render(self, &self.body)
     }
 
     /// True when the outermost loop dispatches iterations across threads.
     #[must_use]
     pub fn is_parallel(&self) -> bool {
-        fn has_par(s: &CStmt) -> bool {
-            match s {
-                CStmt::ParFor { .. } => true,
-                CStmt::Seq(v) => v.iter().any(has_par),
-                _ => false,
-            }
-        }
-        match &self.body {
-            Body::Tree(t) => has_par(t),
-            Body::Code(c) => c.is_parallel(),
-        }
+        self.body.is_parallel()
     }
 
     /// Execute against named scalar parameters and tensor storage, exactly
@@ -2015,10 +1779,7 @@ impl CompiledKernel {
     fn exec_frame(&self, scalars: Vec<i64>, bufs: Vec<RawBuf>) -> Result<(), ExecError> {
         let mut frame =
             Frame { scalars, bufs, locals: Vec::new(), pool: Some(Arc::clone(&self.pool)) };
-        let result = match &self.body {
-            Body::Tree(t) => t.exec(&mut frame),
-            Body::Code(c) => c.exec(&mut frame),
-        };
+        let result = self.body.exec(&mut frame);
         self.frame_pool.lock().unwrap().push(frame.scalars);
         result
     }
@@ -2488,54 +2249,45 @@ const CACHE_SHARDS: usize = 16;
 /// fails identically forever.
 type CacheCell = Arc<OnceLock<Result<Arc<CompiledKernel>, ExecError>>>;
 
-/// Cache key: function fingerprint, fusion flag, executor backend.
-type CacheKey = (u64, bool, ExecBackend);
+/// Cache key: function fingerprint and fusion flag.
+type CacheKey = (u64, bool);
 
 /// Compile-once/run-many cache of [`CompiledKernel`]s keyed by function
-/// identity (name + printed IR), the fusion flag *and* the executor
-/// backend, so toggling either never serves a stale compiled kernel. The
-/// map is striped across `CACHE_SHARDS` locks with per-key single-flight
-/// compilation (see `CacheCell`); [`Runtime::cached`] and
-/// [`Runtime::compilations`] remain exact across shards even when tree
-/// and bytecode compilations of one function coexist.
+/// identity (name + printed IR) and the fusion flag, so toggling fusion
+/// never serves a stale compiled kernel. The map is striped across
+/// `CACHE_SHARDS` locks with per-key single-flight compilation (see
+/// `CacheCell`); [`Runtime::cached`] and [`Runtime::compilations`] remain
+/// exact across shards even when fused and generic compilations of one
+/// function coexist.
 pub struct Runtime {
     shards: Vec<Mutex<HashMap<CacheKey, CacheCell>>>,
     compilations: std::sync::atomic::AtomicUsize,
     fuse: bool,
-    backend: ExecBackend,
     /// Shared by every kernel compiled through this runtime.
     pool: Arc<BufferPool>,
 }
 
 impl Default for Runtime {
     fn default() -> Runtime {
-        Runtime::with_options(fusion_default(), backend_default())
+        Runtime::with_fusion(fusion_default())
     }
 }
 
 impl Runtime {
-    /// Empty runtime with the default fusion setting and backend.
+    /// Empty runtime with the default fusion setting.
     #[must_use]
     pub fn new() -> Runtime {
         Runtime::default()
     }
 
     /// Empty runtime with an explicit fusion setting for
-    /// [`Runtime::compile`] and the default executor backend.
+    /// [`Runtime::compile`].
     #[must_use]
     pub fn with_fusion(fuse: bool) -> Runtime {
-        Runtime::with_options(fuse, backend_default())
-    }
-
-    /// Empty runtime with explicit fusion and executor-backend settings
-    /// for [`Runtime::compile`].
-    #[must_use]
-    pub fn with_options(fuse: bool, backend: ExecBackend) -> Runtime {
         Runtime {
             shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             compilations: std::sync::atomic::AtomicUsize::new(0),
             fuse,
-            backend,
             pool: Arc::new(BufferPool::new()),
         }
     }
@@ -2551,12 +2303,6 @@ impl Runtime {
     #[must_use]
     pub fn fusion(&self) -> bool {
         self.fuse
-    }
-
-    /// This runtime's executor backend.
-    #[must_use]
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// The process-wide shared runtime (what [`exec_func`] uses).
@@ -2575,18 +2321,22 @@ impl Runtime {
         h.finish()
     }
 
-    /// Compile `func` under this runtime's fusion and backend settings,
-    /// or return the cached kernel compiled earlier for an identical
-    /// function.
+    /// Compile `func` under this runtime's fusion setting, or return the
+    /// cached kernel compiled earlier for an identical function.
     ///
     /// # Errors
     /// Propagates [`CompiledKernel::compile`] errors.
     pub fn compile(&self, func: &PrimFunc) -> Result<Arc<CompiledKernel>, ExecError> {
-        self.compile_opts(func, self.fuse, self.backend)
+        self.compile_with(func, self.fuse)
     }
 
-    /// Compile `func` with an explicit fusion flag under this runtime's
-    /// backend. See [`Runtime::compile_opts`] for the cache-key contract.
+    /// Compile `func` with an explicit fusion flag. The cache key is
+    /// `(fingerprint, fuse)`, so the fused and generic compilations of one
+    /// function coexist and every recompilation — including one after
+    /// toggling the flag — is counted by [`Runtime::compilations`] instead
+    /// of serving a stale kernel. Concurrent callers racing on one key are
+    /// single-flighted: exactly one thread compiles, the rest block and
+    /// share the result.
     ///
     /// # Errors
     /// Propagates [`CompiledKernel::compile`] errors.
@@ -2595,34 +2345,15 @@ impl Runtime {
         func: &PrimFunc,
         fuse: bool,
     ) -> Result<Arc<CompiledKernel>, ExecError> {
-        self.compile_opts(func, fuse, self.backend)
-    }
-
-    /// Compile `func` with an explicit fusion flag and executor backend.
-    /// The cache key is `(fingerprint, fuse, backend)`, so all four
-    /// compilations of one function coexist and every recompilation —
-    /// including one after toggling either flag — is counted by
-    /// [`Runtime::compilations`] instead of serving a stale kernel.
-    /// Concurrent callers racing on one key are single-flighted: exactly
-    /// one thread compiles, the rest block and share the result.
-    ///
-    /// # Errors
-    /// Propagates [`CompiledKernel::compile`] errors.
-    pub fn compile_opts(
-        &self,
-        func: &PrimFunc,
-        fuse: bool,
-        backend: ExecBackend,
-    ) -> Result<Arc<CompiledKernel>, ExecError> {
-        let key = (Self::fingerprint(func), fuse, backend);
+        let key = (Self::fingerprint(func), fuse);
         let cell: CacheCell = {
-            let mut shard = self.shards[self.shard_of(key)].lock().unwrap();
+            let mut shard = self.shards[Self::shard_of(key)].lock().unwrap();
             Arc::clone(shard.entry(key).or_default())
         };
         // Outside the stripe lock: a slow compilation never blocks lookups
         // of other keys in the same stripe, only co-claimants of this key.
         cell.get_or_init(|| {
-            let mut kernel = CompiledKernel::compile_opts(func, fuse, backend)?;
+            let mut kernel = CompiledKernel::compile_with(func, fuse)?;
             // Kernels compiled through a runtime draw scratch from its
             // shared pool rather than a private one.
             kernel.pool = Arc::clone(&self.pool);
@@ -2632,15 +2363,11 @@ impl Runtime {
         .clone()
     }
 
-    fn shard_of(&self, key: CacheKey) -> usize {
-        // The fingerprint is already a hash; fold the fusion and backend
-        // flags into the low (shard-selecting) bits so the compilations
-        // of one function can land apart.
-        let backend_bit = match key.2 {
-            ExecBackend::Tree => 0u64,
-            ExecBackend::Bytecode => 2u64,
-        };
-        ((key.0 ^ u64::from(key.1) ^ backend_bit) % CACHE_SHARDS as u64) as usize
+    fn shard_of(key: CacheKey) -> usize {
+        // The fingerprint is already a hash; fold the fusion flag into the
+        // low (shard-selecting) bit so both compilations of one function
+        // can land apart.
+        ((key.0 ^ u64::from(key.1)) % CACHE_SHARDS as u64) as usize
     }
 
     /// Number of cached kernels (successful compilations present in the
@@ -3239,77 +2966,11 @@ mod tests {
         assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
     }
 
-    /// Tree and bytecode compilations of one function must coexist in one
-    /// cache — switching backends recompiles (counted), never serves the
-    /// other backend's kernel, and `cached()`/`compilations()` stay exact
-    /// across all four (fuse × backend) entries.
+    /// The fused listing carries the superinstruction and the fusion flag.
     #[test]
-    fn backend_is_part_of_the_cache_key() {
-        let rt = Runtime::with_options(true, ExecBackend::Bytecode);
+    fn fused_disassembly_shows_the_superinstruction() {
         let f = axpy_func(8);
-        let code = rt.compile(&f).unwrap();
-        assert_eq!(code.backend(), ExecBackend::Bytecode);
-        assert_eq!(rt.compilations(), 1);
-        let tree = rt.compile_opts(&f, true, ExecBackend::Tree).unwrap();
-        assert_eq!(rt.compilations(), 2, "backend switch must recompile, not serve stale");
-        assert!(!Arc::ptr_eq(&code, &tree));
-        assert_eq!(tree.backend(), ExecBackend::Tree);
-        // Both backends fuse the same loop.
-        assert_eq!(code.fused_kinds(), vec!["AxpyLanes"]);
-        assert_eq!(tree.fused_kinds(), vec!["AxpyLanes"]);
-        // All four (fuse × backend) combinations occupy distinct entries.
-        let _ = rt.compile_opts(&f, false, ExecBackend::Tree).unwrap();
-        let _ = rt.compile_opts(&f, false, ExecBackend::Bytecode).unwrap();
-        assert_eq!(rt.compilations(), 4);
-        assert_eq!(rt.cached(), 4);
-        // Every key now hits its own cached Arc.
-        assert!(Arc::ptr_eq(&code, &rt.compile(&f).unwrap()));
-        assert!(Arc::ptr_eq(&tree, &rt.compile_opts(&f, true, ExecBackend::Tree).unwrap()));
-        assert_eq!(rt.compilations(), 4);
-        // Both backends produce identical results.
-        let mut t = HashMap::new();
-        t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
-        t.insert("B".to_string(), TensorData::from((0..8).map(|x| x as f32).collect::<Vec<_>>()));
-        t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        let mut tc = t.clone();
-        let mut tt = t.clone();
-        code.run(&HashMap::new(), &mut tc).unwrap();
-        tree.run(&HashMap::new(), &mut tt).unwrap();
-        assert_eq!(tc["C"], tt["C"]);
-    }
-
-    /// The `SPARSETIR_TREE_EXEC` kill switch flips `backend_default()`,
-    /// which feeds freshly constructed runtimes — a flipped runtime must
-    /// recompile rather than reuse the other backend's kernel (the env
-    /// var is read eagerly at construction, so no other test races us).
-    #[test]
-    fn tree_exec_kill_switch_selects_tree_backend() {
-        assert_eq!(backend_default(), ExecBackend::Bytecode, "bytecode is the default");
-        let f = axpy_func(8);
-        let rt = Runtime::with_options(true, ExecBackend::Tree);
-        assert_eq!(rt.backend(), ExecBackend::Tree);
-        let k = rt.compile(&f).unwrap();
-        assert_eq!(k.backend(), ExecBackend::Tree);
-        assert_eq!(rt.compilations(), 1);
-        // Flipping the backend (what a fresh runtime under the kill
-        // switch would do) recompiles into a distinct cache entry.
-        let k2 = rt.compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
-        assert!(!Arc::ptr_eq(&k, &k2));
-        assert_eq!(rt.compilations(), 2);
-        assert_eq!(rt.cached(), 2);
-    }
-
-    /// Disassembly is backend-independent: a tree-backed kernel lowers on
-    /// demand and renders the same listing as the bytecode compilation.
-    #[test]
-    fn disassembly_is_identical_across_backends() {
-        let f = axpy_func(8);
-        for fuse in [false, true] {
-            let tree = CompiledKernel::compile_opts(&f, fuse, ExecBackend::Tree).unwrap();
-            let code = CompiledKernel::compile_opts(&f, fuse, ExecBackend::Bytecode).unwrap();
-            assert_eq!(tree.disassemble(), code.disassemble());
-        }
-        let fused = CompiledKernel::compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
         assert!(
             listing.contains("super.axpy"),

@@ -1,7 +1,6 @@
-//! Differential property suite: every compiled executor — the generic
-//! tree walk, the dense-lane **fused** tree build, the flat **bytecode**
-//! stream, and bytecode with fused **superinstructions** — must produce
-//! **bit-identical** results to the reference interpreter on random
+//! Differential property suite: both compiled executor builds — the
+//! generic flat **bytecode** stream and bytecode with fused dense-lane
+//! **superinstructions** — must produce **bit-identical** results to the reference interpreter on random
 //! lowered programs over F32 and I32 buffers, including thread-bound
 //! reduction loops and parallel-dispatched `blockIdx` loops.
 //!
@@ -21,9 +20,8 @@
 //!   squarely at the fused `FillLanes`/`AxpyLanes`/`DotLanes`/
 //!   `GatherScaleAccumulate` microkernels and their fallback boundary.
 //!
-//! Every case runs five ways — interpreter, then the four backend×fusion
-//! executor builds (tree / tree+fused / bytecode / bytecode+super) — and
-//! each compiled kernel also runs twice (through the cache) to check
+//! Every case runs three ways — interpreter, then the two executor builds
+//! (bytecode / bytecode+super) — and each compiled kernel also runs twice (through the cache) to check
 //! that frame reuse cannot leak state between invocations. Failure paths
 //! are differential too: runtime bounds/probe errors must carry the same
 //! message and leave the same written prefix on every executor.
@@ -66,16 +64,11 @@ fn assert_bits_eq(name: &str, a: &TensorData, b: &TensorData) -> Result<(), Stri
     }
 }
 
-/// The four executor builds under differential test: every backend ×
-/// fusion combination, labeled for error reporting.
-const EXECUTORS: [(ExecBackend, bool, &str); 4] = [
-    (ExecBackend::Tree, false, "tree"),
-    (ExecBackend::Tree, true, "tree+fused"),
-    (ExecBackend::Bytecode, false, "bytecode"),
-    (ExecBackend::Bytecode, true, "bytecode+super"),
-];
+/// The executor builds under differential test — fusion off and on —
+/// labeled for error reporting.
+const EXECUTORS: [(bool, &str); 2] = [(false, "bytecode"), (true, "bytecode+super")];
 
-/// Run the interpreter and all four backend×fusion executor builds on
+/// Run the interpreter and both executor builds on
 /// the same program and initial tensors; demand bit-identical tensor maps
 /// afterwards. Each compiled path runs twice (cache hit + pooled frame)
 /// to catch state leaking between invocations.
@@ -87,8 +80,8 @@ fn differential(
     let mut interp = tensors.clone();
     eval_func(f, scalars, &mut interp).map_err(|e| format!("interpreter failed: {e}"))?;
 
-    for (backend, fuse, label) in EXECUTORS {
-        let rt = Runtime::with_options(fuse, backend);
+    for (fuse, label) in EXECUTORS {
+        let rt = Runtime::with_fusion(fuse);
         let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
         let mut compiled = tensors.clone();
         kernel.run(scalars, &mut compiled).map_err(|e| format!("{label} executor failed: {e}"))?;
@@ -118,8 +111,8 @@ fn differential_failure(
     tensors: &HashMap<String, TensorData>,
 ) -> Result<String, String> {
     let mut first: Option<(String, HashMap<String, TensorData>)> = None;
-    for (backend, fuse, label) in EXECUTORS {
-        let rt = Runtime::with_options(fuse, backend);
+    for (fuse, label) in EXECUTORS {
+        let rt = Runtime::with_fusion(fuse);
         let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
         let mut after = tensors.clone();
         let err = match kernel.run(scalars, &mut after) {
@@ -771,7 +764,7 @@ fn out_of_bounds_store_fails_identically_on_every_executor() {
         }),
     };
     let f = PrimFunc::new("oob_store", vec![n], vec![b, c], body);
-    let fused = CompiledKernel::compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
     assert_eq!(fused.fused_ops(), 1, "dynamic-extent axpy fuses to a superinstruction");
     let mut tensors = HashMap::new();
     tensors.insert("B".to_string(), TensorData::F32(vec![1.0; 8]));

@@ -3,13 +3,14 @@
 //! programs), plus the three-launch pipeline that serves both as the
 //! `SPARSETIR_NO_FUSE` fallback and as the bit-identity oracle.
 //!
-//! All entry points here take *stacked* multi-head operands (the PR 5
-//! batching contract, shared with the batched SDDMM): `Q` is
+//! The entry points here take *stacked* multi-head operands (the layout
+//! shared with the batched SDDMM): `Q` is
 //! `m × heads·feat` with head `h` owning `feat` consecutive columns,
 //! `KT` is `heads·feat × n` with the heads' key transposes stacked
 //! row-wise, `V` is `n × heads·vfeat` column-stacked, and the output is
-//! `m × heads·vfeat` column-stacked. Per-request stacking/splitting
-//! lives in [`crate::op::FusedAttentionOp`].
+//! `m × heads·vfeat` column-stacked. [`fused_attention_views_on`] binds
+//! the same logical layout as segmented views over per-head storage;
+//! that is what [`crate::op::FusedAttentionOp`] serves through.
 //!
 //! ## Numerical contract
 //!

@@ -220,7 +220,7 @@ pub fn sddmm_execute_on(
 
 /// Execute one multi-head SDDMM launch with `X`, `Y` and `Bout` bound as
 /// segmented views over the per-request operands and outputs — the
-/// zero-copy counterpart of the stacking batch path. Request `h`
+/// zero-copy batching primitive. Request `h`
 /// contributes its `m × k` operand as columns `[h·k, (h+1)·k)` of the
 /// logical `X`, its `k × n` operand as the `h`-th row-segment of the
 /// logical `Y`, and the kernel writes head `h`'s per-non-zero scores
@@ -277,10 +277,10 @@ pub fn batched_sddmm_ir(
 
 /// Execute a *batch* of SDDMM requests against one shared adjacency as a
 /// single widened kernel launch (see [`batched_sddmm_ir`]): the per-head
-/// `X` operands stack column-wise into one `m × heads·feat` operand, the
-/// `Y` operands stack row-wise, one kernel walks the non-zeros once
-/// computing every head's dot product, and the interleaved output splits
-/// back per request. All requests must share the inner (reduction)
+/// `X` operands bind as column segments of one logical `m × heads·feat`
+/// operand, the `Y` operands as row segments, one kernel walks the
+/// non-zeros once computing every head's dot product, and each head's
+/// scores land in its own output buffer. All requests must share the inner (reduction)
 /// width; see [`crate::op::SddmmOp`] for the batching contract. Results
 /// are bit-identical to a sequential loop of [`sddmm_execute`] calls:
 /// every `(non-zero, head)` pair keeps exactly its unbatched reduction

@@ -337,14 +337,13 @@ pub fn prepare_spmm(
 }
 
 /// Execute one SpMM launch with `B` and `C` bound as column-segmented
-/// views over per-request operands and outputs — the zero-copy
-/// counterpart of the stack/split batching path. Request `i` contributes
-/// `xs[i].cols()` columns to the stacked width and the kernel writes its
-/// result columns directly into `outs[i]` (which must be
-/// `a.rows() × xs[i].cols()`, zero-filled). Zero-width requests are
-/// skipped; an all-zero-width batch skips the launch. Results are
-/// bit-identical to the copying path: view binding changes only address
-/// resolution, never per-column reduction order.
+/// views over per-request operands and outputs — the zero-copy batching
+/// primitive. Request `i` contributes `xs[i].cols()` columns to the
+/// widened launch and the kernel writes its result columns directly into
+/// `outs[i]` (which must be `a.rows() × xs[i].cols()`, zero-filled).
+/// Zero-width requests are skipped; an all-zero-width batch skips the
+/// launch. Results are bit-identical to unbatched execution: view binding
+/// changes only address resolution, never per-column reduction order.
 ///
 /// # Errors
 /// Propagates lowering, view-validation and execution errors.
@@ -359,8 +358,10 @@ pub fn spmm_execute_views_on(
     if feat == 0 {
         return Ok(());
     }
-    // Same widening rule as the stacked copy path, so both arms compile
-    // the same schedule (and the same cached kernel) at width `feat`.
+    // Widen the schedule's vector split to span the whole batch width —
+    // otherwise the feature loop re-chunks into `vec_width·8`-lane pieces
+    // and the per-non-zero overhead is paid once per chunk, exactly the
+    // cost batching exists to amortize.
     let mut wide = *config;
     wide.params.vec_width = config.params.vec_width.max(feat.div_ceil(8));
     let (func, mut structure) = prepare_spmm_structure(a, feat, &wide)?;
@@ -416,18 +417,18 @@ pub fn tuned_spmm_execute_on(
 }
 
 /// Execute a *batch* of SpMM requests against one shared adjacency as a
-/// single wider kernel launch: the per-request feature matrices are
-/// stacked column-wise into one operand of width `Σ feat_i`, one kernel
-/// runs at that width (with the schedule's vector split widened to span
-/// it), and the output splits back into per-request matrices. This is
-/// the serving engine's batching primitive, expressed through the
-/// generic op layer — see [`crate::op::SpmmOp`] for the stacking
+/// single wider kernel launch: the per-request feature matrices bind as
+/// column segments of one logical operand of width `Σ feat_i`, one
+/// kernel runs at that width (with the schedule's vector split widened to
+/// span it), and each request's result lands in its own output matrix.
+/// This is the serving engine's batching primitive, expressed through the
+/// generic op layer — see [`crate::op::SpmmOp`] for the batching
 /// contract.
 ///
 /// Width-0 requests are legal and yield `rows × 0` outputs without
-/// joining the stacked launch; an all-empty batch skips the kernel
+/// joining the widened launch; an all-empty batch skips the kernel
 /// entirely. Results are bit-identical to running each request through
-/// [`tuned_spmm_execute`] alone: column stacking only widens the spatial
+/// [`tuned_spmm_execute`] alone: column widening only widens the spatial
 /// feature axis, leaving each output column's reduction order untouched.
 ///
 /// # Errors

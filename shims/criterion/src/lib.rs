@@ -7,7 +7,7 @@
 //! benchmark — and prints the median, min and max per-iteration time in
 //! a `group/id  time: […]` format loosely matching criterion's output.
 //!
-//! Honour `SPARSETIR_BENCH_SMOKE=1` to run each benchmark exactly once
+//! Honour `SPARSETIR_SMOKE=1` to run each benchmark exactly once
 //! (used by CI to keep bench compilation honest without paying for
 //! statistics).
 
@@ -178,7 +178,7 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { smoke: std::env::var_os("SPARSETIR_BENCH_SMOKE").is_some() }
+        Criterion { smoke: std::env::var_os("SPARSETIR_SMOKE").is_some() }
     }
 }
 

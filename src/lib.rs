@@ -18,8 +18,8 @@
 //! | [`autotune`] | the joint format × schedule search of §2 |
 //! | [`engine`] | concurrent op-agnostic serving engine: one generic request path batching SpMM/SDDMM/attention over the kernel cache |
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results. The `examples/`
+//! See `README.md` for the architecture, the executor and serving design,
+//! and how the experiments and benchmarks are run. The `examples/`
 //! directory walks through the pipeline end to end; start with
 //! `cargo run --example quickstart`.
 
