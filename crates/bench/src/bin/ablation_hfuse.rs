@@ -1,4 +1,4 @@
-//! Regenerates the paper's ablation_hfuse (see DESIGN.md §4).
+//! Regenerates the paper's ablation_hfuse.
 fn main() {
     print!("{}", sparsetir_bench::experiments::ablation_hfuse::run());
 }

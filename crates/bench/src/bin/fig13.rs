@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig13 (see DESIGN.md §4).
+//! Regenerates the paper's fig13.
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig13::run());
 }

@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig15 (see DESIGN.md §4).
+//! Regenerates the paper's fig15.
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig15::run());
 }

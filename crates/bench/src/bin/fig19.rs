@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig19 (see DESIGN.md §4).
+//! Regenerates the paper's fig19.
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig19::run());
 }

@@ -1,4 +1,4 @@
-//! Regenerates the paper's table2 (see DESIGN.md §4).
+//! Regenerates the paper's table2.
 fn main() {
     print!("{}", sparsetir_bench::experiments::table2::run());
 }

@@ -1039,7 +1039,7 @@ pub mod serving_throughput {
             queue_depth: 256,
             max_batch: if batched { 16 } else { 1 },
             tune: false,
-            fuse: None,
+            fuse: true,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
@@ -1141,7 +1141,7 @@ pub mod serving_throughput {
             &mut rng,
         );
         let adj = Adjacency::new(g.clone());
-        // Served results must be the real answer, not just fast.
+        // The served results must be the real answer, not just fast.
         {
             let engine = Engine::new(EngineConfig::default());
             let x = gen::random_dense(n, feat, &mut rng);
@@ -1280,7 +1280,7 @@ pub mod fused_attention {
             queue_depth: 256,
             max_batch: if fused { 16 } else { 1 },
             tune: false,
-            fuse: Some(fused),
+            fuse: fused,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
@@ -1352,11 +1352,11 @@ pub mod fused_attention {
                 }])
             }
         };
-        // Served results must be the real answer, not just fast: the
+        // The served results must be the real answer, not just fast: the
         // fused engine must match the f64 reference (relative epsilon,
         // for the softmax exp) and the three-launch oracle bit-for-bit.
         {
-            let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
+            let engine = Engine::new(EngineConfig { fuse: true, ..EngineConfig::default() });
             let req = make();
             let OpRequest::FusedAttention(heads) = &req else { unreachable!() };
             let head = heads[0].clone();
@@ -1485,7 +1485,7 @@ pub mod serving_slo {
             queue_depth: 16,
             max_batch: 8,
             tune: false,
-            fuse: None,
+            fuse: true,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         });
@@ -1529,7 +1529,7 @@ pub mod serving_slo {
             queue_depth: 64,
             max_batch: 8,
             tune: false,
-            fuse: None,
+            fuse: true,
             batch_window: if slo { Some(window) } else { None },
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
@@ -1789,7 +1789,7 @@ pub mod dynamic_graphs {
             queue_depth: 64,
             max_batch: 8,
             tune: false,
-            fuse: None,
+            fuse: true,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         })
@@ -1943,7 +1943,7 @@ pub mod dynamic_graphs {
             final_inc, final_reb,
             "incremental and rebuilt matrices must be bit-identical after the stream"
         );
-        // Served answers on the final state must be the real answer.
+        // The served answers on the final state must be the real answer.
         {
             let engine = serving_engine();
             let adj = Adjacency::new(final_inc.clone());

@@ -14,7 +14,7 @@ use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
 use sparsetir_autotune::{tune_op, SparsityFingerprint, TunableOp, TuneCache, TuneKey};
 use sparsetir_gpusim::prelude::GpuSpec;
-use sparsetir_ir::exec::{fusion_default, Runtime};
+use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpConfig, SddmmOp, SparseOp, SpmmOp,
 };
@@ -198,46 +198,86 @@ pub enum OpRequest {
     FusedSage((Dense, Dense)),
 }
 
-impl OpRequest {
-    /// The op kind tag this request routes to (`"spmm"`, `"sddmm"`,
-    /// `"attention"`) — useful for logging and metrics.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OpRequest::Spmm(_) => SpmmOp::kind(),
-            OpRequest::Sddmm(_) => SddmmOp::kind(),
-            OpRequest::Attention(_) => AttentionOp::kind(),
-            OpRequest::FusedAttention(_) => FusedAttentionOp::kind(),
-            OpRequest::FusedSage(_) => FusedSageOp::kind(),
-        }
-    }
+/// The served-op table: each row names one (`OpRequest` variant,
+/// [`SparseOp`] type, `OpOutput` variant) triple, and is the only place
+/// that mapping is written. It generates the request's kind, validation
+/// and batching faces, the worker's dispatch, the per-kind stats slots
+/// and the op names in output-mismatch errors. The output column is
+/// type-checked against the op's [`SparseOp::Output`].
+macro_rules! served_ops {
+    ($($req:ident => $op:ty => $out:ident),+ $(,)?) => {
+        // The output column must accept the op's output type, so a row
+        // naming the wrong `OpOutput` variant does not compile.
+        $(const _: fn(<$op as SparseOp>::Output) -> OpOutput = OpOutput::$out;)+
 
-    /// Shape-validate against the adjacency via the op's own contract.
-    fn validate(&self, adj: &Adjacency) -> Result<(), EngineError> {
-        match self {
-            OpRequest::Spmm(x) => SpmmOp::validate(adj.csr(), x),
-            OpRequest::Sddmm(pair) => SddmmOp::validate(adj.csr(), pair),
-            OpRequest::Attention(heads) => AttentionOp::validate(adj.csr(), heads),
-            OpRequest::FusedAttention(heads) => FusedAttentionOp::validate(adj.csr(), heads),
-            OpRequest::FusedSage(pair) => FusedSageOp::validate(adj.csr(), pair),
-        }
-        .map_err(EngineError::Shape)
-    }
+        /// How many op kinds the engine serves.
+        pub(crate) const SERVED_OPS: usize = [$(stringify!($req)),+].len();
 
-    /// The op-level batching contract, lifted to the request enum: same
-    /// kind, and the op's [`SparseOp::can_batch`] agrees.
-    fn can_batch_with(&self, other: &OpRequest) -> bool {
-        match (self, other) {
-            (OpRequest::Spmm(a), OpRequest::Spmm(b)) => SpmmOp::can_batch(a, b),
-            (OpRequest::Sddmm(a), OpRequest::Sddmm(b)) => SddmmOp::can_batch(a, b),
-            (OpRequest::Attention(a), OpRequest::Attention(b)) => AttentionOp::can_batch(a, b),
-            (OpRequest::FusedAttention(a), OpRequest::FusedAttention(b)) => {
-                FusedAttentionOp::can_batch(a, b)
+        /// Every served op kind tag, in table order.
+        pub(crate) fn served_kinds() -> [&'static str; SERVED_OPS] {
+            [$(<$op>::kind()),+]
+        }
+
+        impl OpRequest {
+            /// The op kind tag this request routes to (`"spmm"`,
+            /// `"sddmm"`, `"attention"`, `"fused_attention"` or
+            /// `"fused_sage"`) — useful for logging and metrics.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(OpRequest::$req(_) => <$op>::kind(),)+
+                }
             }
-            (OpRequest::FusedSage(a), OpRequest::FusedSage(b)) => FusedSageOp::can_batch(a, b),
-            _ => false,
+
+            /// Shape-validate against the adjacency via the op's own
+            /// contract.
+            fn validate(&self, adj: &Adjacency) -> Result<(), EngineError> {
+                match self {
+                    $(OpRequest::$req(req) => <$op>::validate(adj.csr(), req),)+
+                }
+                .map_err(EngineError::Shape)
+            }
+
+            /// The op-level batching contract, lifted to the request enum:
+            /// same kind, and the op's [`SparseOp::can_batch`] agrees.
+            fn can_batch_with(&self, other: &OpRequest) -> bool {
+                match (self, other) {
+                    $((OpRequest::$req(a), OpRequest::$req(b)) => <$op>::can_batch(a, b),)+
+                    _ => false,
+                }
+            }
         }
-    }
+
+        impl OpOutput {
+            /// The op kinds answering with output `variant`, `|`-joined —
+            /// so a mismatch error names both sides' ops.
+            fn kinds_of(variant: &str) -> String {
+                let rows = [$((stringify!($out), <$op>::kind())),+];
+                let kinds: Vec<&str> =
+                    rows.iter().filter(|(v, _)| *v == variant).map(|(_, kind)| *kind).collect();
+                kinds.join("|")
+            }
+        }
+
+        /// One dispatch: route the kind-matched batch to its op's generic
+        /// serve path.
+        fn serve_batch(shared: &Shared, batch: Vec<Job>) {
+            match &batch[0].req {
+                $(OpRequest::$req(_) => serve_as::<$op>(shared, batch, |req| match req {
+                    OpRequest::$req(operands) => operands,
+                    _ => unreachable!("kind-matched batch"),
+                }),)+
+            }
+        }
+    };
+}
+
+served_ops! {
+    Spmm => SpmmOp => Dense,
+    Sddmm => SddmmOp => Edges,
+    Attention => AttentionOp => Heads,
+    FusedAttention => FusedAttentionOp => Heads,
+    FusedSage => FusedSageOp => Dense,
 }
 
 /// The result of any served op — the one shape of output handling every
@@ -245,12 +285,30 @@ impl OpRequest {
 /// result.
 #[derive(Debug, Clone)]
 pub enum OpOutput {
-    /// A dense matrix (SpMM).
+    /// A dense matrix (SpMM, fused GraphSAGE step).
     Dense(Dense),
     /// Per-non-zero edge values (SDDMM).
     Edges(Vec<f32>),
-    /// One dense matrix per head (attention).
+    /// One dense matrix per head (attention, fused attention).
     Heads(Vec<Dense>),
+}
+
+impl From<Dense> for OpOutput {
+    fn from(d: Dense) -> OpOutput {
+        OpOutput::Dense(d)
+    }
+}
+
+impl From<Vec<f32>> for OpOutput {
+    fn from(edges: Vec<f32>) -> OpOutput {
+        OpOutput::Edges(edges)
+    }
+}
+
+impl From<Vec<Dense>> for OpOutput {
+    fn from(heads: Vec<Dense>) -> OpOutput {
+        OpOutput::Heads(heads)
+    }
 }
 
 impl OpOutput {
@@ -259,16 +317,6 @@ impl OpOutput {
             OpOutput::Dense(_) => "Dense",
             OpOutput::Edges(_) => "Edges",
             OpOutput::Heads(_) => "Heads",
-        }
-    }
-
-    /// The op kinds that produce an output variant — so a mismatch error
-    /// names both sides' ops, not just the variant tags.
-    fn kinds_of(variant: &'static str) -> &'static str {
-        match variant {
-            "Dense" => "spmm|fused_sage",
-            "Edges" => "sddmm",
-            _ => "attention|fused_attention",
         }
     }
 
@@ -343,14 +391,13 @@ pub struct EngineConfig {
     /// [`SubmitOpts::tune`](crate::SubmitOpts::tune) overrides this per
     /// request.
     pub tune: bool,
-    /// Cross-op fusion for the fused op paths: `Some(true)` compiles the
-    /// whole pipeline into one kernel, `Some(false)` forces the
-    /// multi-launch fallback, and `None` (the default) follows the
-    /// `SPARSETIR_NO_FUSE` environment kill switch via
-    /// [`fusion_default`]. The flag is baked into the engine's shared
+    /// Fusion for every compiled kernel: `true` (the default) enables the
+    /// dense-lane superinstructions and compiles each cross-op fused
+    /// pipeline into one kernel; `false` forces the bit-identical
+    /// multi-launch fallback. The flag is baked into the engine's shared
     /// [`Runtime`] at construction, so the two modes never share cached
     /// kernels.
-    pub fuse: Option<bool>,
+    pub fuse: bool,
     /// Adaptive batch window: after draining a batch that still has
     /// rider room, a worker with an otherwise-empty queue waits up to
     /// this long for more compatible arrivals before firing — but only
@@ -375,7 +422,7 @@ impl Default for EngineConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_batch: 8,
             tune: false,
-            fuse: None,
+            fuse: true,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }
@@ -536,7 +583,7 @@ impl Engine {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             config: config.clone(),
-            runtime: Arc::new(Runtime::with_fusion(config.fuse.unwrap_or_else(fusion_default))),
+            runtime: Arc::new(Runtime::with_fusion(config.fuse)),
             tune_cache: TuneCache::new(),
             tune_flight: Mutex::new(()),
             t0: Instant::now(),
@@ -745,7 +792,10 @@ impl Engine {
         block: bool,
     ) -> Result<Ticket, EngineError> {
         let Submission { req, opts } = sub;
-        req.validate(adj)?;
+        if let Err(e) = req.validate(adj) {
+            self.shared.stats.invalid.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         let now = Instant::now();
         let (tx, rx) = mpsc::channel();
         let job = Job {
@@ -891,118 +941,6 @@ impl Drop for Engine {
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
-
-/// The engine-side face of a servable op: how to pull this op's typed
-/// operands out of the [`OpRequest`] enum and wrap its output back into
-/// the unified [`OpOutput`]. Everything else — batching, tuning,
-/// execution — comes from the generic [`SparseOp`]/[`TunableOp`]
-/// contracts, so adding a served op is one enum variant plus one impl of
-/// this glue.
-trait Served: TunableOp<Adj = Csr> {
-    fn extract(req: OpRequest) -> Self::Operands;
-    fn peek(req: &OpRequest) -> &Self::Operands;
-    fn wrap(out: Self::Output) -> OpOutput;
-}
-
-impl Served for SpmmOp {
-    fn extract(req: OpRequest) -> Dense {
-        match req {
-            OpRequest::Spmm(x) => x,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &Dense {
-        match req {
-            OpRequest::Spmm(x) => x,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Dense) -> OpOutput {
-        OpOutput::Dense(out)
-    }
-}
-
-impl Served for SddmmOp {
-    fn extract(req: OpRequest) -> (Dense, Dense) {
-        match req {
-            OpRequest::Sddmm(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &(Dense, Dense) {
-        match req {
-            OpRequest::Sddmm(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<f32>) -> OpOutput {
-        OpOutput::Edges(out)
-    }
-}
-
-impl Served for AttentionOp {
-    fn extract(req: OpRequest) -> Vec<Dense> {
-        match req {
-            OpRequest::Attention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &Vec<Dense> {
-        match req {
-            OpRequest::Attention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<Dense>) -> OpOutput {
-        OpOutput::Heads(out)
-    }
-}
-
-impl Served for FusedAttentionOp {
-    fn extract(req: OpRequest) -> Vec<AttnHead> {
-        match req {
-            OpRequest::FusedAttention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &Vec<AttnHead> {
-        match req {
-            OpRequest::FusedAttention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<Dense>) -> OpOutput {
-        OpOutput::Heads(out)
-    }
-}
-
-impl Served for FusedSageOp {
-    fn extract(req: OpRequest) -> (Dense, Dense) {
-        match req {
-            OpRequest::FusedSage(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &(Dense, Dense) {
-        match req {
-            OpRequest::FusedSage(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Dense) -> OpOutput {
-        OpOutput::Dense(out)
-    }
-}
 
 fn worker_loop(shared: &Shared) {
     loop {
@@ -1158,18 +1096,6 @@ fn hold_for_riders<'a>(
     st
 }
 
-/// One dispatch: route the kind-matched batch to its op's generic serve
-/// path.
-fn serve_batch(shared: &Shared, batch: Vec<Job>) {
-    match &batch[0].req {
-        OpRequest::Spmm(_) => serve_as::<SpmmOp>(shared, batch),
-        OpRequest::Sddmm(_) => serve_as::<SddmmOp>(shared, batch),
-        OpRequest::Attention(_) => serve_as::<AttentionOp>(shared, batch),
-        OpRequest::FusedAttention(_) => serve_as::<FusedAttentionOp>(shared, batch),
-        OpRequest::FusedSage(_) => serve_as::<FusedSageOp>(shared, batch),
-    }
-}
-
 /// The configuration for one `(adjacency, op)` pair: the engine-owned
 /// [`TuneCache`] memoizes the op's simulator-backed `tune_op` search per
 /// sparsity fingerprint, so only the first batch on a new pair pays it.
@@ -1180,7 +1106,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
 /// submission overrode it.
 fn op_config_for<O>(shared: &Shared, adj: &Adjacency, shape: &[usize], tune: bool) -> O::Config
 where
-    O: Served,
+    O: TunableOp<Adj = Csr>,
     OpConfig: From<O::Config>,
     O::Config: TryFrom<OpConfig>,
 {
@@ -1235,16 +1161,17 @@ where
 }
 
 /// Serve one kind-matched batch through the op's generic contract:
-/// config lookup → widened `execute_batch_on` → per-request replies. A
+/// operand extraction → config lookup → widened `execute_batch_on` →
+/// per-request replies. A
 /// panicking kernel answers every rider with [`EngineError::Exec`]
 /// instead of killing the worker.
-fn serve_as<O>(shared: &Shared, batch: Vec<Job>)
+fn serve_as<O>(shared: &Shared, batch: Vec<Job>, extract: fn(OpRequest) -> O::Operands)
 where
-    O: Served,
+    O: TunableOp<Adj = Csr>,
+    O::Output: Into<OpOutput>,
     OpConfig: From<O::Config>,
     O::Config: TryFrom<OpConfig>,
 {
-    let shape = O::shape_of(O::peek(&batch[0].req));
     let adj = batch[0].adj.clone();
     // The batch head decides the tuning mode for its riders (one launch,
     // one configuration).
@@ -1255,8 +1182,9 @@ where
     let mut reqs = Vec::with_capacity(batch.len());
     for job in batch {
         replies.push((job.enqueued, job.priority, job.reply));
-        reqs.push(O::extract(job.req));
+        reqs.push(extract(job.req));
     }
+    let shape = O::shape_of(&reqs[0]);
     // The config lookup sits inside the catch: a panicking tuning search
     // must answer its riders with `Exec` too, not drop their replies.
     let started = Instant::now();
@@ -1270,7 +1198,7 @@ where
             // wall time amortized over its riders.
             shared.stats.record_exec(O::kind(), started.elapsed().as_nanos() as u64 / width);
             for ((enqueued, priority, reply), out) in replies.into_iter().zip(outs) {
-                finish(shared, enqueued, priority, true, || reply.send(Ok(O::wrap(out))).is_ok());
+                finish(shared, enqueued, priority, true, || reply.send(Ok(out.into())).is_ok());
             }
         }
         Ok(Err(e)) => {

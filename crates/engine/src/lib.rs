@@ -17,7 +17,10 @@
 //!   [`OpOutput`]). Built via `Submission::spmm(feat).deadline(d)
 //!   .priority(Priority::Hi)`-style constructors and served through
 //!   [`Engine::submit`], [`Engine::try_submit`] or the blocking
-//!   [`Engine::serve`].
+//!   [`Engine::serve`]. Each served op is declared once, as one row of
+//!   the engine's served-op table (request variant, op type, output
+//!   variant); adding an op is an enum variant, a table row and a
+//!   `SparseOp` impl with its one `launch` hook.
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -31,11 +34,10 @@
 //!   immediately under deadline pressure. `None` keeps the greedy
 //!   drain.
 //! * **Cross-op fusion with a kill switch**: [`EngineConfig::fuse`]
-//!   selects whether fused ops compile their whole pipeline into one
-//!   kernel or fall back to the multi-launch path (`None` follows the
-//!   `SPARSETIR_NO_FUSE` environment variable). The flag is baked into
-//!   the engine's shared runtime, so toggling it recompiles rather than
-//!   serving stale cached kernels.
+//!   (default `true`) selects whether fused ops compile their whole
+//!   pipeline into one kernel or fall back to the multi-launch path. The
+//!   flag is baked into the engine's shared runtime, so toggling it
+//!   recompiles rather than serving stale cached kernels.
 //! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and an
 //!   op-agnostic [`TuneCache`](sparsetir_autotune::TuneCache)** per
 //!   engine: every worker compiles through the same striped kernel cache
@@ -60,7 +62,8 @@
 //!   log-bucketed, lock-free p50/p95/p99 [`LatencyHistogram`],
 //!   per-priority served/shed/expired counters ([`PriorityStats`]) and
 //!   per-reason shed counters ([`ShedStats`]) alongside the batching and
-//!   throughput counters.
+//!   throughput counters; submissions refused at validation count in
+//!   [`EngineStats::invalid`], so every offered request is accounted for.
 //!
 //! * **Incremental graph updates with stale-while-retune serving**:
 //!   [`Engine::apply_delta`] patches a served [`Adjacency`] with a

@@ -6,14 +6,9 @@
 //! time estimate per op kind that feeds the admission controller's
 //! deadline-feasibility check.
 
+use crate::engine::{served_kinds, SERVED_OPS};
 use crate::submission::{Priority, RejectReason};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Every op kind the engine can dispatch, in snapshot order. The
-/// per-kind width histogram is a fixed array of atomics (no locks on the
-/// serving path); an unknown kind tag falls through to the global
-/// counters only.
-const OP_KINDS: [&str; 5] = ["spmm", "sddmm", "attention", "fused_attention", "fused_sage"];
 
 /// Power-of-two latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` ns, which covers the full `u64` nanosecond range.
@@ -24,7 +19,7 @@ fn latency_bucket(ns: u64) -> usize {
     63 - ns.max(1).leading_zeros() as usize
 }
 
-/// Per-kind batch-width counters (one slot per [`OP_KINDS`] entry).
+/// Per-kind batch-width counters (one slot per served op kind).
 #[derive(Default)]
 struct KindWidths {
     batches: AtomicU64,
@@ -68,6 +63,7 @@ struct PriorityCounters {
 #[derive(Default)]
 pub(crate) struct StatsInner {
     pub submitted: AtomicU64,
+    pub invalid: AtomicU64,
     pub completed: AtomicU64,
     pub failed: AtomicU64,
     pub rejected: AtomicU64,
@@ -90,8 +86,8 @@ pub(crate) struct StatsInner {
     per_priority: [PriorityCounters; 3],
     /// EWMA of per-request execution time per op kind (ns); 0 = no
     /// sample yet. Feeds the admission controller's feasibility check.
-    exec_est_ns: [AtomicU64; OP_KINDS.len()],
-    kind_widths: [KindWidths; OP_KINDS.len()],
+    exec_est_ns: [AtomicU64; SERVED_OPS],
+    kind_widths: [KindWidths; SERVED_OPS],
 }
 
 impl StatsInner {
@@ -136,7 +132,7 @@ impl StatsInner {
     /// `DeadlineInfeasible` decisions ride on. With CAS every sample is
     /// folded in exactly once, in *some* serialization order.
     pub fn record_exec(&self, kind: &str, ns: u64) {
-        if let Some(slot) = OP_KINDS.iter().position(|k| *k == kind) {
+        if let Some(slot) = served_kinds().iter().position(|k| *k == kind) {
             let est = &self.exec_est_ns[slot];
             let mut old = est.load(Ordering::Relaxed);
             loop {
@@ -152,7 +148,7 @@ impl StatsInner {
     /// Current per-request execution estimate for an op kind (ns); 0
     /// when that kind has never executed.
     pub fn exec_estimate_ns(&self, kind: &str) -> u64 {
-        OP_KINDS
+        served_kinds()
             .iter()
             .position(|k| *k == kind)
             .map_or(0, |slot| self.exec_est_ns[slot].load(Ordering::Relaxed))
@@ -164,7 +160,7 @@ impl StatsInner {
             self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
         }
         self.max_batch.fetch_max(size, Ordering::Relaxed);
-        if let Some(slot) = OP_KINDS.iter().position(|k| *k == kind) {
+        if let Some(slot) = served_kinds().iter().position(|k| *k == kind) {
             let w = &self.kind_widths[slot];
             w.batches.fetch_add(1, Ordering::Relaxed);
             w.width_sum.fetch_add(size as u64, Ordering::Relaxed);
@@ -174,8 +170,8 @@ impl StatsInner {
 
     pub fn snapshot(&self) -> EngineStats {
         let completed = self.completed.load(Ordering::Relaxed);
-        let op_widths = OP_KINDS
-            .iter()
+        let op_widths = served_kinds()
+            .into_iter()
             .zip(&self.kind_widths)
             .map(|(kind, w)| OpBatchWidth {
                 kind,
@@ -192,6 +188,7 @@ impl StatsInner {
         });
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
+            invalid: self.invalid.load(Ordering::Relaxed),
             completed,
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -341,9 +338,9 @@ impl ShedStats {
     }
 }
 
-/// Served-batch-width histogram of one op kind: how many kernel
-/// dispatches that kind got and how wide they were — the batching-
-/// efficacy signal per op, not just globally.
+/// Batch-width histogram of one op kind's served batches: how many
+/// kernel dispatches that kind got and how wide they were — the
+/// batching-efficacy signal per op, not just globally.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpBatchWidth {
     /// Op kind tag (`"spmm"`, `"fused_attention"`, …).
@@ -374,6 +371,10 @@ impl OpBatchWidth {
 pub struct EngineStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
+    /// Submissions refused at validation because their operands do not
+    /// fit the adjacency (answered [`EngineError::Shape`](crate::EngineError::Shape);
+    /// never queued, so not in `submitted`).
+    pub invalid: u64,
     /// Requests answered successfully.
     pub completed: u64,
     /// Requests answered with an error.
@@ -493,6 +494,7 @@ impl EngineStats {
         });
         EngineStats {
             submitted: self.submitted.saturating_sub(earlier.submitted),
+            invalid: self.invalid.saturating_sub(earlier.invalid),
             completed: self.completed.saturating_sub(earlier.completed),
             failed: self.failed.saturating_sub(earlier.failed),
             rejected: self.rejected.saturating_sub(earlier.rejected),

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_launch, csr_spmm_execute, sddmm_batched_execute, sddmm_execute,
-    spmm_batched_execute, AttnHead, SpmmConfig,
+    attention_pipeline_launch, csr_spmm_execute, sddmm_execute, AttnHead, SddmmOp, SparseOp,
+    SpmmConfig, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 
@@ -94,7 +94,6 @@ fn test_engine() -> Engine {
         queue_depth: 16,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -112,8 +111,9 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let xs = random_feats(&a, &widths, seed);
-        let batched = spmm_batched_execute(&a, &xs, &SpmmConfig::default_csr())
-            .expect("batched execution");
+        let batched =
+            SpmmOp::execute_batch_on(Runtime::global(), &a, &xs, &SpmmConfig::default_csr())
+                .expect("batched execution");
         prop_assert_eq!(batched.len(), xs.len());
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
             let want = csr_spmm_execute(&a, x).expect("sequential execution");
@@ -159,7 +159,9 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let reqs = random_pairs(&a, &vec![k; n], seed);
-        let batched = sddmm_batched_execute(&a, &reqs).expect("batched execution");
+        let batched =
+            SddmmOp::execute_batch_on(Runtime::global(), &a, &reqs, &SddmmOp::default_config())
+                .expect("batched execution");
         prop_assert_eq!(batched.len(), reqs.len());
         for (i, ((x, y), got)) in reqs.iter().zip(&batched).enumerate() {
             let want = sddmm_execute(&a, x, y).expect("sequential execution");
@@ -275,7 +277,6 @@ proptest! {
             queue_depth: 16,
             max_batch: 8,
             tune: false,
-            fuse: Some(true),
             batch_window: None,
             ..EngineConfig::default()
         });

@@ -24,7 +24,6 @@ fn dynamic_engine(tune: bool) -> Engine {
         queue_depth: 32,
         max_batch: 8,
         tune,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -123,7 +122,7 @@ fn query_for(step: usize, rows: usize, cols: usize, seed: u64) -> Submission {
     }
 }
 
-fn outputs_bit_eq(a: &OpOutput, b: &OpOutput) -> Result<(), TestCaseError> {
+fn bit_eq_outputs(a: &OpOutput, b: &OpOutput) -> Result<(), TestCaseError> {
     let dense_eq = |x: &Dense, y: &Dense, tag: &str| -> Result<(), TestCaseError> {
         if (x.rows(), x.cols()) != (y.rows(), y.cols()) {
             return Err(TestCaseError::fail(format!("{tag}: shape mismatch")));
@@ -187,7 +186,7 @@ proptest! {
             let query = query_for(step, rows, cols, seed);
             let from_inc = engine.serve(&inc, query.clone()).expect("serves incremental");
             let from_rebuild = engine.serve(&rebuilt, query).expect("serves rebuild");
-            outputs_bit_eq(&from_inc, &from_rebuild)?;
+            bit_eq_outputs(&from_inc, &from_rebuild)?;
         }
         let stats = engine.stats();
         prop_assert_eq!(stats.deltas_applied, stream.len() as u64);

@@ -86,7 +86,6 @@ fn queued_requests_batch_and_stay_bit_identical() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -125,7 +124,6 @@ fn try_submit_rejects_on_a_full_queue() {
         queue_depth: 1,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -164,6 +162,40 @@ fn shape_mismatches_are_rejected_at_submit() {
     assert_eq!(engine.stats().submitted, 0, "rejected requests never enqueue");
 }
 
+/// Every offered request is accounted for: submissions refused at
+/// validation count in `invalid`, accepted ones in `submitted`, and the
+/// counter survives `delta_since`.
+#[test]
+fn invalid_submissions_are_counted() {
+    let mut rng = gen::rng(52);
+    let a = gen::random_csr(10, 8, 0.3, &mut rng);
+    let adj = Adjacency::new(a);
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let before = engine.stats();
+    let subs = vec![
+        Submission::spmm(gen::random_dense(8, 2, &mut rng)),
+        Submission::spmm(gen::random_dense(9, 2, &mut rng)),
+        Submission::sddmm(gen::random_dense(10, 3, &mut rng), gen::random_dense(3, 8, &mut rng)),
+        Submission::sddmm(gen::random_dense(10, 3, &mut rng), gen::random_dense(4, 8, &mut rng)),
+        Submission::attention(vec![gen::random_dense(8, 1, &mut rng)]),
+        Submission::attention(vec![gen::random_dense(7, 1, &mut rng)]),
+    ];
+    let mut refused = 0;
+    for sub in subs {
+        match engine.submit(&adj, sub) {
+            Ok(ticket) => {
+                ticket.wait().expect("valid request serves");
+            }
+            Err(EngineError::Shape(_)) => refused += 1,
+            Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+    assert_eq!(refused, 3);
+    let stats = engine.stats().delta_since(&before);
+    assert!(stats.submitted == 3 && stats.invalid == 3, "{stats:?}");
+    assert_eq!((stats.completed, stats.failed, stats.rejected), (3, 0, 0));
+}
+
 /// Dropping the engine drains the queue: already-submitted requests are
 /// still answered, and submissions after shutdown fail.
 #[test]
@@ -176,7 +208,6 @@ fn shutdown_drains_pending_requests() {
         queue_depth: 64,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -206,7 +237,6 @@ fn concurrent_clients_get_their_own_answers() {
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -255,7 +285,6 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
         queue_depth: 16,
         max_batch: 4,
         tune: true,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -285,7 +314,6 @@ fn repeated_requests_reuse_compiled_kernels() {
         queue_depth: 16,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -337,6 +365,71 @@ fn generic_submit_path_serves_every_op() {
     assert!(matches!(again.into_edges(), Err(EngineError::Output(_))));
 }
 
+/// The served-op table, end to end: every request kind answers with its
+/// output variant, and a wrong accessor's error names the op kinds on
+/// both sides.
+#[test]
+fn every_request_kind_answers_with_its_output_variant() {
+    use sparsetir_engine::OpRequest;
+    let mut rng = gen::rng(102);
+    let a = gen::random_csr(12, 10, 0.3, &mut rng);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let head = random_head(&a, 3, 2, &mut rng);
+    let cases = vec![
+        (OpRequest::Spmm(gen::random_dense(10, 2, &mut rng)), "spmm", "Dense"),
+        (
+            OpRequest::Sddmm((
+                gen::random_dense(12, 3, &mut rng),
+                gen::random_dense(3, 10, &mut rng),
+            )),
+            "sddmm",
+            "Edges",
+        ),
+        (OpRequest::Attention(vec![gen::random_dense(10, 2, &mut rng)]), "attention", "Heads"),
+        (OpRequest::FusedAttention(vec![head]), "fused_attention", "Heads"),
+        (
+            OpRequest::FusedSage((
+                gen::random_dense(10, 3, &mut rng),
+                gen::random_dense(3, 4, &mut rng),
+            )),
+            "fused_sage",
+            "Dense",
+        ),
+    ];
+    for (req, kind, variant) in cases {
+        assert_eq!(req.kind(), kind);
+        let out = engine.serve(&adj, req).unwrap_or_else(|e| panic!("{kind} serves: {e}"));
+        // Each variant is asked for through a wrong accessor.
+        let (got, wrong, want_msg) = match out {
+            OpOutput::Dense(_) => (
+                "Dense",
+                out.into_edges().map(drop),
+                "expected Edges (sddmm), got Dense (spmm|fused_sage)",
+            ),
+            OpOutput::Edges(_) => (
+                "Edges",
+                out.into_heads().map(drop),
+                "expected Heads (attention|fused_attention), got Edges (sddmm)",
+            ),
+            OpOutput::Heads(_) => (
+                "Heads",
+                out.into_dense().map(drop),
+                "expected Dense (spmm|fused_sage), got Heads (attention|fused_attention)",
+            ),
+        };
+        assert_eq!(got, variant, "{kind} answers with the wrong variant");
+        match wrong {
+            Err(EngineError::Output(msg)) => {
+                assert_eq!(msg, want_msg);
+                assert!(msg.contains(kind), "{msg} must name {kind}");
+            }
+            other => panic!("{kind}: expected an output error, got {other:?}"),
+        }
+    }
+    assert_eq!(engine.stats().completed, 5);
+}
+
 /// A worker panic while holding the queue lock poisons the mutex; the
 /// engine must recover — the worker survives, later submits from client
 /// threads succeed, and shutdown drains cleanly. Regression test for the
@@ -352,7 +445,6 @@ fn engine_survives_injected_worker_panic() {
         queue_depth: 16,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -393,7 +485,6 @@ fn concurrent_submits_survive_worker_panic() {
         queue_depth: 16,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -434,7 +525,6 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -480,7 +570,6 @@ fn incompatible_requests_do_not_batch() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -528,7 +617,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
     let mut rng = gen::rng(151);
     let a = gen::random_csr(24, 20, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
+    let engine = Engine::new(EngineConfig { fuse: true, ..EngineConfig::default() });
 
     let head = random_head(&a, 4, 3, &mut rng);
     let got = engine
@@ -566,8 +655,8 @@ fn engine_fuse_toggle_recompiles_instead_of_serving_stale_kernels() {
     let adj = Adjacency::new(a.clone());
     let head = random_head(&a, 3, 2, &mut rng);
 
-    let fused = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
-    let unfused = Engine::new(EngineConfig { fuse: Some(false), ..EngineConfig::default() });
+    let fused = Engine::new(EngineConfig { fuse: true, ..EngineConfig::default() });
+    let unfused = Engine::new(EngineConfig { fuse: false, ..EngineConfig::default() });
     assert!(fused.runtime().fusion());
     assert!(!unfused.runtime().fusion());
 
@@ -610,7 +699,6 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: Some(true),
         batch_window: None,
         ..EngineConfig::default()
     });

@@ -52,7 +52,6 @@ fn batched() -> Engine {
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -259,7 +258,6 @@ fn run_forced_batch(riders: usize) -> (Engine, Adjacency, Vec<Dense>, Vec<Dense>
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -367,7 +365,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         queue_depth: 16,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });

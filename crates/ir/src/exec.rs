@@ -43,8 +43,9 @@
 //! specialized microkernel superinstructions — `FillLanes`, `AxpyLanes`,
 //! `DotLanes`, `GatherScaleAccumulate` — that run tight per-lane loops
 //! instead of per-element instruction dispatch. Fusion is on by default
-//! (`SPARSETIR_NO_FUSE` disables it); the generic loop is lowered right
-//! behind every superinstruction as the bit-exact fallback, and the
+//! (`Runtime::with_fusion(false)` disables it); the generic loop is
+//! lowered right behind every superinstruction as the bit-exact
+//! fallback, and the
 //! kernel-cache key includes the fusion flag so toggling it never serves
 //! a stale compiled kernel. [`CompiledKernel::disassemble`] renders the
 //! bytecode as a stable text listing — see the `disasm` submodule and the
@@ -1590,14 +1591,13 @@ impl fmt::Debug for CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Compile `func` into a slot-indexed program with the default fusion
-    /// setting ([`fusion_default`]).
+    /// Compile `func` into a slot-indexed program with fusion on.
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile(func: &PrimFunc) -> Result<CompiledKernel, ExecError> {
-        Self::compile_with(func, fusion_default())
+        Self::compile_with(func, true)
     }
 
     /// Compile `func`, explicitly enabling (`true`) or disabling
@@ -2227,13 +2227,6 @@ impl BufferPool {
     }
 }
 
-/// Fusion default for [`CompiledKernel::compile`] and new [`Runtime`]s:
-/// on, unless the `SPARSETIR_NO_FUSE` environment variable is set.
-#[must_use]
-pub fn fusion_default() -> bool {
-    std::env::var_os("SPARSETIR_NO_FUSE").is_none()
-}
-
 /// Number of stripes in the [`Runtime`] kernel cache. Keys land in a
 /// stripe by fingerprint bits, so concurrent compilations of *unrelated*
 /// functions (the serving engine's steady state) almost never touch the
@@ -2269,12 +2262,12 @@ pub struct Runtime {
 
 impl Default for Runtime {
     fn default() -> Runtime {
-        Runtime::with_fusion(fusion_default())
+        Runtime::with_fusion(true)
     }
 }
 
 impl Runtime {
-    /// Empty runtime with the default fusion setting.
+    /// Empty runtime with fusion on.
     #[must_use]
     pub fn new() -> Runtime {
         Runtime::default()

@@ -1,7 +1,7 @@
 //! Cross-op fused sparse attention: SDDMM → edge-softmax → SpMM compiled
 //! into **one** kernel (see [`sparsetir_core::fused`] for the Stage I
 //! programs), plus the three-launch pipeline that serves both as the
-//! `SPARSETIR_NO_FUSE` fallback and as the bit-identity oracle.
+//! fusion-off fallback and as the bit-identity oracle.
 //!
 //! The entry points here take *stacked* multi-head operands (the layout
 //! shared with the batched SDDMM): `Q` is
@@ -158,8 +158,7 @@ pub fn fused_attention_launch(
 
 /// Run the same stacked multi-head attention as the sequential
 /// three-launch pipeline (score SDDMM, edge-softmax, aggregation) —
-/// the `SPARSETIR_NO_FUSE` fallback and the fused kernel's bit-identity
-/// oracle.
+/// the fusion-off fallback and the fused kernel's bit-identity oracle.
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates
@@ -211,7 +210,7 @@ pub fn attention_pipeline_launch(
 
 /// Serve stacked multi-head attention through `rt`, routing on the
 /// runtime's fusion flag: fused single-kernel launch when fusion is on,
-/// the three-launch pipeline when `SPARSETIR_NO_FUSE` turned it off.
+/// the three-launch pipeline when it is off.
 /// Both paths produce bit-identical outputs (see the module docs).
 ///
 /// # Errors
@@ -241,15 +240,15 @@ pub fn fused_attention_execute_on(
 /// kernel writes head `h`'s aggregation directly into `outs[h]`
 /// (`rows × vfeat`, zero-filled). The softmax intermediates `S`/`M`/`P`/
 /// `Sum` come from the runtime's [`BufferPool`] instead of fresh
-/// allocations, and on the `SPARSETIR_NO_FUSE` pipeline route they move
+/// allocations, and on the fusion-off pipeline route they move
 /// between launches without copies. Outputs are bit-identical to the
 /// stacked-operand entry points: views change only address resolution,
 /// never pass order.
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches (all slices must be the
-/// same non-zero length with uniform `(k, vfeat)`) and propagates
-/// lowering/execution errors.
+/// same non-zero length, with uniform `(k, vfeat)` and `rows × vfeat`
+/// outputs) and propagates lowering/execution errors.
 pub fn fused_attention_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -262,7 +261,30 @@ pub fn fused_attention_views_on(
     if heads == 0 {
         return Err("fused attention: zero heads".into());
     }
+    if (kts.len(), vs.len(), outs.len()) != (heads, heads, heads) {
+        return Err(format!(
+            "fused attention: {heads} q, {} kt, {} v and {} out slices must agree",
+            kts.len(),
+            vs.len(),
+            outs.len()
+        )
+        .into());
+    }
     let (k, vfeat) = (qs[0].cols(), vs[0].cols());
+    for (h, ((q, v), o)) in qs.iter().zip(vs).zip(outs.iter()).enumerate() {
+        if (q.cols(), v.cols()) != (k, vfeat) || (o.rows(), o.cols()) != (a.rows(), vfeat) {
+            return Err(format!(
+                "fused attention: head {h} has (k, vfeat) = ({}, {}) and a {}x{} output; \
+                 expected ({k}, {vfeat}) and {}x{vfeat}",
+                q.cols(),
+                v.cols(),
+                o.rows(),
+                o.cols(),
+                a.rows()
+            )
+            .into());
+        }
+    }
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
     bind_csr(&mut b, "A", "J", a);
@@ -472,7 +494,7 @@ mod tests {
         );
     }
 
-    /// `SPARSETIR_NO_FUSE` routing: a fusion-off runtime compiles the three
+    /// Fusion-flag routing: a fusion-off runtime compiles the three
     /// pipeline kernels, a fusion-on runtime compiles the one fused kernel,
     /// and re-running either adds no compilations (no stale-kernel serving
     /// across the toggle — the fusion flag is part of the cache key).
@@ -522,5 +544,33 @@ mod tests {
         assert!(fused_attention_launch(&rt, &a, &bad_q, &kt, &v, 2).is_err());
         let bad_v = gen::random_dense(8, 7, &mut gen::rng(43));
         assert!(fused_attention_launch(&rt, &a, &q, &kt, &bad_v, 2).is_err());
+    }
+
+    #[test]
+    fn views_reject_short_slices_and_misshapen_outputs() {
+        let mut rng = gen::rng(44);
+        let a = gen::random_csr(8, 6, 0.4, &mut rng);
+        let q = gen::random_dense(8, 3, &mut rng);
+        let kt = gen::random_dense(3, 6, &mut rng);
+        let v = gen::random_dense(6, 2, &mut rng);
+        let rt = Runtime::new();
+        // A v slice shorter than q — empty, or one head short — is a
+        // typed error, not a panic or an out-of-bounds launch.
+        let mut outs = vec![Dense::zeros(8, 2), Dense::zeros(8, 2)];
+        let err = fused_attention_views_on(&rt, &a, &[&q], &[&kt], &[], &mut outs[..1])
+            .expect_err("empty v slice must be rejected");
+        assert!(err.to_string().contains("must agree"), "{err}");
+        let err = fused_attention_views_on(&rt, &a, &[&q, &q], &[&kt, &kt], &[&v], &mut outs)
+            .expect_err("short v slice must be rejected");
+        assert!(err.to_string().contains("must agree"), "{err}");
+        // An output narrower than vfeat is refused before launching.
+        let mut narrow = vec![Dense::zeros(8, 1)];
+        let err = fused_attention_views_on(&rt, &a, &[&q], &[&kt], &[&v], &mut narrow)
+            .expect_err("misshapen output must be rejected");
+        assert!(err.to_string().contains("head 0"), "{err}");
+        // The well-formed launch still succeeds.
+        let mut ok = vec![Dense::zeros(8, 2)];
+        fused_attention_views_on(&rt, &a, &[&q], &[&kt], &[&v], &mut ok).unwrap();
+        assert!(ok[0].approx_eq(&fused_attention_reference(&a, &q, &kt, &v, 1), 1e-4));
     }
 }

@@ -90,8 +90,8 @@ pub fn fused_sage_launch(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelR
 }
 
 /// Run the same layer step as the two-launch pipeline (gather kernel,
-/// then normalize+matmul kernel) — the `SPARSETIR_NO_FUSE` fallback and
-/// the fused kernel's bit-identity oracle.
+/// then normalize+matmul kernel) — the fusion-off fallback and the fused
+/// kernel's bit-identity oracle.
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates
@@ -126,8 +126,8 @@ pub fn fused_sage_pipeline_launch(
 }
 
 /// Serve the fused SAGE layer step through `rt`, routing on the
-/// runtime's fusion flag (the `SPARSETIR_NO_FUSE` kill switch falls back
-/// to the two-launch pipeline). Both paths are bit-identical.
+/// runtime's fusion flag (a fusion-off runtime falls back to the
+/// two-launch pipeline). Both paths are bit-identical.
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates

@@ -14,9 +14,9 @@
 //!
 //! Both faces are unified behind the generic [`op::SparseOp`] layer: one
 //! descriptor per operator with a uniform `plans()` face, a zero-copy
-//! batching contract (`can_batch`/`assemble`/`launch`/`outputs`) and a
-//! reference-executor hook, so the autotuner and the serving engine are
-//! op-agnostic.
+//! batching contract (`can_batch` plus one `launch` hook serving any
+//! slice of compatible requests) and a reference-executor hook, so the
+//! autotuner and the serving engine are op-agnostic.
 
 #![warn(missing_docs)]
 
@@ -63,17 +63,16 @@ pub mod prelude {
         two_stage_footprint_bytes, RgmsWorkload, RGMS_TC_EFFICIENCY,
     };
     pub use crate::sddmm::{
-        sddmm_batched_execute, sddmm_batched_execute_on, sddmm_execute, sddmm_execute_on,
-        sddmm_execute_views_on, sddmm_ir, sddmm_param_candidates, sddmm_plan,
-        sddmm_row_parallel_plan, tuned_sddmm_time, SddmmParams,
+        sddmm_execute, sddmm_execute_on, sddmm_execute_views_on, sddmm_ir, sddmm_param_candidates,
+        sddmm_plan, sddmm_row_parallel_plan, tuned_sddmm_time, SddmmParams,
     };
     pub use crate::sparse_conv::{
         conv_reference, sparsetir_conv_plan, torchsparse_plans, ConvMaps,
     };
     pub use crate::spmm::{
         csr_spmm_execute, csr_spmm_interpret, csr_spmm_ir, csr_spmm_ir_with, csr_spmm_plan,
-        hyb_spmm_plans, hyb_spmm_time, prepare_spmm, prepare_spmm_structure, spmm_batched_execute,
-        spmm_batched_execute_on, spmm_execute_views_on, tuned_spmm_execute, tuned_spmm_execute_on,
-        tuned_spmm_plans, tuned_spmm_time, CsrSpmmParams, PreparedSpmm, SpmmConfig,
+        hyb_spmm_plans, hyb_spmm_time, prepare_spmm, prepare_spmm_structure, spmm_execute_views_on,
+        tuned_spmm_execute, tuned_spmm_execute_on, tuned_spmm_plans, tuned_spmm_time,
+        CsrSpmmParams, PreparedSpmm, SpmmConfig,
     };
 }

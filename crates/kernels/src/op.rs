@@ -1,5 +1,6 @@
 //! The generic sparse-operator layer: every kernel in this crate —
-//! SpMM, SDDMM, multi-head attention, RGMS — presents one uniform face
+//! SpMM, SDDMM, multi-head attention, RGMS and the cross-op fused
+//! attention and GraphSAGE steps — presents one uniform face
 //! ([`SparseOp`]) so the tuning and serving stacks above it can be
 //! op-agnostic. This is the composability thesis applied to our own
 //! plumbing: one prepare → schedule → compile → execute path, many
@@ -10,12 +11,13 @@
 //!   tunable [`SparseOp::Config`], with a uniform
 //!   [`plans`](SparseOp::plans) face for the GPU simulator;
 //! * a **batching contract** — [`can_batch`](SparseOp::can_batch) plus
-//!   [`assemble`](SparseOp::assemble) / [`launch`](SparseOp::launch) /
-//!   [`outputs`](SparseOp::outputs), so a serving engine can fold
-//!   requests sharing an adjacency fingerprint into one widened kernel
-//!   launch **without copying operands**: the kernel binds each rider's
-//!   storage directly through segmented views and writes each result
-//!   into its rider's own output buffer;
+//!   one launch hook, [`launch`](SparseOp::launch), which serves any
+//!   non-empty slice of compatible requests (a single request is a slice
+//!   of one). A serving engine folds requests sharing an adjacency
+//!   fingerprint into one widened kernel launch **without copying
+//!   operands**: the kernel binds each rider's storage directly through
+//!   segmented views and writes each result into its rider's own output
+//!   buffer;
 //! * a **reference hook** ([`reference`](SparseOp::reference)) for
 //!   differential testing of every execution path against the smat
 //!   oracles.
@@ -63,9 +65,12 @@ pub type OpError = Box<dyn std::error::Error>;
 /// A sparse operator behind the uniform plan/batch/execute face.
 ///
 /// Implementations are zero-sized tag types ([`SpmmOp`], [`SddmmOp`],
-/// [`AttentionOp`], [`RgmsOp`]); all state lives in the adjacency,
-/// the per-request [`Operands`](SparseOp::Operands) and the tunable
-/// [`Config`](SparseOp::Config).
+/// [`AttentionOp`], [`RgmsOp`], [`FusedAttentionOp`], [`FusedSageOp`]);
+/// all state lives in the adjacency, the per-request
+/// [`Operands`](SparseOp::Operands) and the tunable
+/// [`Config`](SparseOp::Config). Ops whose requests never batch (RGMS,
+/// fused GraphSAGE) answer `false` from [`can_batch`](SparseOp::can_batch)
+/// and serve slices of one through the same [`launch`](SparseOp::launch).
 pub trait SparseOp {
     /// The sparse structure requests are served against ([`Csr`] for the
     /// single-matrix ops, [`RgmsWorkload`] for the relational one).
@@ -76,10 +81,6 @@ pub trait SparseOp {
     type Output: Send + 'static;
     /// Tunable configuration (format decomposition + schedule knobs).
     type Config: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static;
-    /// Per-rider output buffers of a zero-copy view launch, allocated by
-    /// [`assemble`](SparseOp::assemble) and written in place by
-    /// [`launch`](SparseOp::launch).
-    type Assembled: Send;
 
     /// Stable kind tag (`"spmm"`, `"sddmm"`, …) — tune-cache key material
     /// and display label.
@@ -118,20 +119,13 @@ pub trait SparseOp {
     /// fingerprints; this only checks request-shape compatibility.
     fn can_batch(lhs: &Self::Operands, rhs: &Self::Operands) -> bool;
 
-    /// Allocate the per-rider output buffers of one zero-copy view
-    /// launch over a batch (length ≥ 2, pairwise
-    /// [`can_batch`](SparseOp::can_batch)). No operand bytes move here —
-    /// only result storage is created, zero-filled, in the layout
-    /// [`outputs`](SparseOp::outputs) hands back per request.
-    ///
-    /// # Errors
-    /// Reports batch-shape violations.
-    fn assemble(adj: &Self::Adj, reqs: &[Self::Operands]) -> Result<Self::Assembled, OpError>;
-
-    /// Run one widened launch through `rt`'s kernel cache with every
+    /// Serve a non-empty slice of validated requests that pairwise pass
+    /// [`can_batch`](SparseOp::can_batch) — a single request is a slice of
+    /// one — and return one output per request, in order. Batchable ops
+    /// run one widened launch through `rt`'s kernel cache with every
     /// dense rider operand bound as a segmented view over the request's
-    /// own storage and results written in place into `asm` — the
-    /// zero-copy batching primitive.
+    /// own storage and each result written in place into the rider's own
+    /// output buffer: the zero-copy batching primitive.
     ///
     /// # Errors
     /// Propagates lowering/compilation/execution errors.
@@ -139,25 +133,8 @@ pub trait SparseOp {
         rt: &Runtime,
         adj: &Self::Adj,
         reqs: &[Self::Operands],
-        asm: &mut Self::Assembled,
         config: &Self::Config,
-    ) -> Result<(), OpError>;
-
-    /// Hand the assembled buffers back per request, preserving order.
-    /// `reqs` carries the per-request grouping (head counts) that the
-    /// flat assembly does not.
-    fn outputs(asm: Self::Assembled, reqs: &[Self::Operands]) -> Vec<Self::Output>;
-
-    /// Run a single request alone (the batch-of-one fast path).
-    ///
-    /// # Errors
-    /// Propagates lowering/compilation/execution errors.
-    fn launch_one(
-        rt: &Runtime,
-        adj: &Self::Adj,
-        req: &Self::Operands,
-        config: &Self::Config,
-    ) -> Result<Self::Output, OpError>;
+    ) -> Result<Vec<Self::Output>, OpError>;
 
     /// Reference executor (the smat semantics oracle) for differential
     /// testing of every batched and unbatched path.
@@ -167,11 +144,11 @@ pub trait SparseOp {
     fn reference(adj: &Self::Adj, req: &Self::Operands) -> Result<Self::Output, OpError>;
 
     /// Execute a batch of requests as one widened kernel launch (the
-    /// serving engine's primitive): validate →
-    /// [`assemble`](SparseOp::assemble) → [`launch`](SparseOp::launch) →
-    /// [`outputs`](SparseOp::outputs), with a
-    /// [`launch_one`](SparseOp::launch_one) fast path for batches of one.
-    /// Results are bit-identical to executing each request alone.
+    /// serving engine's primitive): validate every request, enforce the
+    /// [`can_batch`](SparseOp::can_batch) contract pairwise, then
+    /// [`launch`](SparseOp::launch). Results are bit-identical to
+    /// executing each request alone; an empty batch answers an empty
+    /// vector without launching.
     ///
     /// # Errors
     /// Reports the index of the first invalid request or the first
@@ -186,38 +163,22 @@ pub trait SparseOp {
         for (i, req) in reqs.iter().enumerate() {
             Self::validate(adj, req)
                 .map_err(|e| format!("batched {} request {i}: {e}", Self::kind()))?;
-            if i > 0 && !Self::can_batch(&reqs[0], req) {
+            // Pairwise, not against the head alone: batching contracts
+            // need not be transitive (a 0-head fused-attention request
+            // rides with any shape but must not bridge two shapes).
+            if let Some(j) = reqs[..i].iter().position(|prev| !Self::can_batch(prev, req)) {
                 return Err(format!(
-                    "batched {} request {i}: cannot share a launch with request 0 \
+                    "batched {} request {i}: cannot share a launch with request {j} \
                      (can_batch contract violated)",
                     Self::kind()
                 )
                 .into());
             }
         }
-        match reqs {
-            [] => Ok(Vec::new()),
-            [one] => Ok(vec![Self::launch_one(rt, adj, one, config)?]),
-            many => {
-                let mut asm = Self::assemble(adj, many)?;
-                Self::launch(rt, adj, many, &mut asm, config)?;
-                Ok(Self::outputs(asm, many))
-            }
+        if reqs.is_empty() {
+            return Ok(Vec::new());
         }
-    }
-
-    /// Execute one request through the op layer.
-    ///
-    /// # Errors
-    /// Like [`execute_batch_on`](SparseOp::execute_batch_on).
-    fn execute_on(
-        rt: &Runtime,
-        adj: &Self::Adj,
-        req: &Self::Operands,
-        config: &Self::Config,
-    ) -> Result<Self::Output, OpError> {
-        Self::validate(adj, req).map_err(|e| format!("{} request: {e}", Self::kind()))?;
-        Self::launch_one(rt, adj, req, config)
+        Self::launch(rt, adj, reqs, config)
     }
 }
 
@@ -285,7 +246,6 @@ impl SparseOp for SpmmOp {
     type Operands = Dense;
     type Output = Dense;
     type Config = SpmmConfig;
-    type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
         "spmm"
@@ -324,41 +284,17 @@ impl SparseOp for SpmmOp {
         true
     }
 
-    fn assemble(adj: &Csr, reqs: &[Dense]) -> Result<Vec<Dense>, OpError> {
-        Ok(reqs.iter().map(|x| Dense::zeros(adj.rows(), x.cols())).collect())
-    }
-
     fn launch(
         rt: &Runtime,
         adj: &Csr,
         reqs: &[Dense],
-        asm: &mut Vec<Dense>,
         config: &SpmmConfig,
-    ) -> Result<(), OpError> {
+    ) -> Result<Vec<Dense>, OpError> {
+        let mut outs: Vec<Dense> =
+            reqs.iter().map(|x| Dense::zeros(adj.rows(), x.cols())).collect();
         let xs: Vec<&Dense> = reqs.iter().collect();
-        spmm_execute_views_on(rt, adj, &xs, asm, config)
-    }
-
-    fn outputs(asm: Vec<Dense>, _reqs: &[Dense]) -> Vec<Dense> {
-        asm
-    }
-
-    fn launch_one(
-        rt: &Runtime,
-        adj: &Csr,
-        req: &Dense,
-        config: &SpmmConfig,
-    ) -> Result<Dense, OpError> {
-        if req.cols() == 0 {
-            return Ok(Dense::zeros(adj.rows(), 0));
-        }
-        // The batch-of-one fast path rides the same single-segment view
-        // kernel: the operand binds in place and the result lands
-        // directly in the request's output buffer — zero copies end to
-        // end.
-        let mut outs = vec![Dense::zeros(adj.rows(), req.cols())];
-        spmm_execute_views_on(rt, adj, &[req], &mut outs, config)?;
-        Ok(outs.pop().expect("one output per request"))
+        spmm_execute_views_on(rt, adj, &xs, &mut outs, config)?;
+        Ok(outs)
     }
 
     fn reference(adj: &Csr, req: &Dense) -> Result<Dense, OpError> {
@@ -386,7 +322,6 @@ impl SparseOp for SddmmOp {
     type Operands = (Dense, Dense);
     type Output = Vec<f32>;
     type Config = SddmmParams;
-    type Assembled = Vec<Vec<f32>>;
 
     fn kind() -> &'static str {
         "sddmm"
@@ -433,36 +368,15 @@ impl SparseOp for SddmmOp {
         lhs.0.cols() == rhs.0.cols()
     }
 
-    fn assemble(adj: &Csr, reqs: &[(Dense, Dense)]) -> Result<Vec<Vec<f32>>, OpError> {
-        Ok(reqs.iter().map(|_| vec![0.0f32; adj.nnz()]).collect())
-    }
-
     fn launch(
         rt: &Runtime,
         adj: &Csr,
         reqs: &[(Dense, Dense)],
-        asm: &mut Vec<Vec<f32>>,
         _config: &SddmmParams,
-    ) -> Result<(), OpError> {
-        sddmm_execute_views_on(rt, adj, reqs, asm)
-    }
-
-    fn outputs(asm: Vec<Vec<f32>>, _reqs: &[(Dense, Dense)]) -> Vec<Vec<f32>> {
-        asm
-    }
-
-    fn launch_one(
-        rt: &Runtime,
-        adj: &Csr,
-        req: &(Dense, Dense),
-        _config: &SddmmParams,
-    ) -> Result<Vec<f32>, OpError> {
-        // Batch-of-one fast path through the view kernel: operands bind
-        // in place, the per-non-zero scores land directly in the
-        // request's own buffer.
-        let mut outs = vec![vec![0.0f32; adj.nnz()]];
-        sddmm_execute_views_on(rt, adj, std::slice::from_ref(req), &mut outs)?;
-        Ok(outs.pop().expect("one output per request"))
+    ) -> Result<Vec<Vec<f32>>, OpError> {
+        let mut outs = vec![vec![0.0f32; adj.nnz()]; reqs.len()];
+        sddmm_execute_views_on(rt, adj, reqs, &mut outs)?;
+        Ok(outs)
     }
 
     fn reference(adj: &Csr, (x, y): &(Dense, Dense)) -> Result<Vec<f32>, OpError> {
@@ -500,12 +414,18 @@ impl Default for AttentionOpConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AttentionOp;
 
+/// Split a flat per-head output list back into per-request head lists,
+/// preserving order.
+fn regroup_heads<T>(heads: Vec<Dense>, reqs: &[Vec<T>]) -> Vec<Vec<Dense>> {
+    let mut heads = heads.into_iter();
+    reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
+}
+
 impl SparseOp for AttentionOp {
     type Adj = Csr;
     type Operands = Vec<Dense>;
     type Output = Vec<Dense>;
     type Config = AttentionOpConfig;
-    type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
         "attention"
@@ -557,38 +477,18 @@ impl SparseOp for AttentionOp {
         true
     }
 
-    fn assemble(adj: &Csr, reqs: &[Vec<Dense>]) -> Result<Vec<Dense>, OpError> {
-        Ok(reqs.iter().flatten().map(|x| Dense::zeros(adj.rows(), x.cols())).collect())
-    }
-
     fn launch(
         rt: &Runtime,
         adj: &Csr,
         reqs: &[Vec<Dense>],
-        asm: &mut Vec<Dense>,
         config: &AttentionOpConfig,
-    ) -> Result<(), OpError> {
+    ) -> Result<Vec<Vec<Dense>>, OpError> {
+        // Every head of every request binds as one view segment of a
+        // single widened launch.
         let xs: Vec<&Dense> = reqs.iter().flatten().collect();
-        spmm_execute_views_on(rt, adj, &xs, asm, &config.spmm)
-    }
-
-    fn outputs(asm: Vec<Dense>, reqs: &[Vec<Dense>]) -> Vec<Vec<Dense>> {
-        let mut heads = asm.into_iter();
-        reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
-    }
-
-    fn launch_one(
-        rt: &Runtime,
-        adj: &Csr,
-        req: &Vec<Dense>,
-        config: &AttentionOpConfig,
-    ) -> Result<Vec<Dense>, OpError> {
-        // A single multi-head request is already a batch over its heads;
-        // the heads bind as view segments of one widened launch.
-        let mut outs: Vec<Dense> = req.iter().map(|x| Dense::zeros(adj.rows(), x.cols())).collect();
-        let xs: Vec<&Dense> = req.iter().collect();
-        spmm_execute_views_on(rt, adj, &xs, &mut outs, &config.spmm)?;
-        Ok(outs)
+        let mut heads: Vec<Dense> = xs.iter().map(|x| Dense::zeros(adj.rows(), x.cols())).collect();
+        spmm_execute_views_on(rt, adj, &xs, &mut heads, &config.spmm)?;
+        Ok(regroup_heads(heads, reqs))
     }
 
     fn reference(adj: &Csr, req: &Vec<Dense>) -> Result<Vec<Dense>, OpError> {
@@ -624,7 +524,6 @@ impl SparseOp for RgmsOp {
     type Operands = RgmsOperands;
     type Output = Dense;
     type Config = u32;
-    type Assembled = ();
 
     fn kind() -> &'static str {
         "rgms"
@@ -678,31 +577,14 @@ impl SparseOp for RgmsOp {
         false
     }
 
-    fn assemble(_adj: &RgmsWorkload, _reqs: &[RgmsOperands]) -> Result<(), OpError> {
-        Err("rgms requests do not batch".into())
-    }
-
     fn launch(
         _rt: &Runtime,
-        _adj: &RgmsWorkload,
-        _reqs: &[RgmsOperands],
-        _asm: &mut (),
-        _config: &u32,
-    ) -> Result<(), OpError> {
-        Err("rgms requests do not batch".into())
-    }
-
-    fn outputs(_asm: (), _reqs: &[RgmsOperands]) -> Vec<Dense> {
-        Vec::new()
-    }
-
-    fn launch_one(
-        _rt: &Runtime,
         adj: &RgmsWorkload,
-        req: &RgmsOperands,
+        reqs: &[RgmsOperands],
         _config: &u32,
-    ) -> Result<Dense, OpError> {
-        Ok(rgms_reference(&adj.relations, &req.x, &req.weights)?)
+    ) -> Result<Vec<Dense>, OpError> {
+        // Requests never batch, so this serves a slice of one.
+        reqs.iter().map(|req| Ok(rgms_reference(&adj.relations, &req.x, &req.weights)?)).collect()
     }
 
     fn reference(adj: &RgmsWorkload, req: &RgmsOperands) -> Result<Dense, OpError> {
@@ -746,12 +628,12 @@ impl Default for FusedAttentionConfig {
 /// The whole sparse-attention pipeline (score SDDMM → edge-softmax →
 /// aggregation SpMM) as **one** [`SparseOp`] served by a single fused
 /// kernel launch ([`crate::fused_attention::fused_attention_launch`];
-/// the `SPARSETIR_NO_FUSE` kill switch falls back to the bit-identical
-/// three-launch pipeline). A request is a list of [`AttnHead`]s sharing
-/// one mask; requests batch when their per-head shapes `(k, vfeat)`
-/// agree — every head of every folded request rides the same widened
-/// launch, inside the same fused non-zero walk (the PR 5 multi-head
-/// batching contract), and each `(non-zero, head)` pair keeps exactly
+/// a fusion-off [`Runtime`] falls back to the bit-identical three-launch
+/// pipeline). A request is a list of [`AttnHead`]s sharing one mask;
+/// requests batch when their per-head shapes `(k, vfeat)` agree — every
+/// head of every folded request rides the same widened launch, inside
+/// the same fused non-zero walk (the multi-head batching contract), and
+/// each `(non-zero, head)` pair keeps exactly
 /// its unbatched reduction order, so batching is bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusedAttentionOp;
@@ -768,7 +650,6 @@ impl SparseOp for FusedAttentionOp {
     type Operands = Vec<AttnHead>;
     type Output = Vec<Dense>;
     type Config = FusedAttentionConfig;
-    type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
         "fused_attention"
@@ -841,50 +722,22 @@ impl SparseOp for FusedAttentionOp {
         }
     }
 
-    fn assemble(adj: &Csr, reqs: &[Vec<AttnHead>]) -> Result<Vec<Dense>, OpError> {
-        let heads: Vec<&AttnHead> = reqs.iter().flatten().collect();
-        let shapes: Vec<(usize, usize)> = heads.iter().map(|h| (h.q.cols(), h.v.cols())).collect();
-        if shapes.windows(2).any(|w| w[0] != w[1]) {
-            return Err("fused attention: mixed (k, vfeat) shapes in one widened launch".into());
-        }
-        Ok(heads.iter().map(|h| Dense::zeros(adj.rows(), h.v.cols())).collect())
-    }
-
     fn launch(
         rt: &Runtime,
         adj: &Csr,
         reqs: &[Vec<AttnHead>],
-        asm: &mut Vec<Dense>,
         _config: &FusedAttentionConfig,
-    ) -> Result<(), OpError> {
+    ) -> Result<Vec<Vec<Dense>>, OpError> {
         let heads: Vec<&AttnHead> = reqs.iter().flatten().collect();
-        if heads.is_empty() {
-            return Ok(());
+        let mut outs: Vec<Dense> =
+            heads.iter().map(|h| Dense::zeros(adj.rows(), h.v.cols())).collect();
+        if !heads.is_empty() {
+            let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
+            let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
+            let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
+            fused_attention_views_on(rt, adj, &qs, &kts, &vs, &mut outs)?;
         }
-        let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
-        let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
-        let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
-        fused_attention_views_on(rt, adj, &qs, &kts, &vs, asm)
-    }
-
-    fn outputs(asm: Vec<Dense>, reqs: &[Vec<AttnHead>]) -> Vec<Vec<Dense>> {
-        let mut heads = asm.into_iter();
-        reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
-    }
-
-    fn launch_one(
-        rt: &Runtime,
-        adj: &Csr,
-        req: &Vec<AttnHead>,
-        config: &FusedAttentionConfig,
-    ) -> Result<Vec<Dense>, OpError> {
-        // A single multi-head request is already a widened launch over
-        // its heads — same view assembly, so batched results stay
-        // bit-identical.
-        let reqs = std::slice::from_ref(req);
-        let mut asm = Self::assemble(adj, reqs)?;
-        Self::launch(rt, adj, reqs, &mut asm, config)?;
-        Ok(Self::outputs(asm, reqs).pop().expect("one output per request"))
+        Ok(regroup_heads(outs, reqs))
     }
 
     fn reference(adj: &Csr, req: &Vec<AttnHead>) -> Result<Vec<Dense>, OpError> {
@@ -913,8 +766,8 @@ impl Default for FusedSageConfig {
 
 /// GraphSAGE's gather → degree-normalize → feature-matmul layer step as
 /// a [`SparseOp`] served by one fused kernel launch
-/// ([`crate::fused_sage::fused_sage_launch`]; `SPARSETIR_NO_FUSE` falls
-/// back to the bit-identical two-launch pipeline). A request is the
+/// ([`crate::fused_sage::fused_sage_launch`]; a fusion-off [`Runtime`]
+/// falls back to the bit-identical two-launch pipeline). A request is the
 /// `(features, weights)` pair of one layer; requests never batch (each
 /// already spans the whole graph, RGMS-style).
 #[derive(Debug, Clone, Copy, Default)]
@@ -925,7 +778,6 @@ impl SparseOp for FusedSageOp {
     type Operands = (Dense, Dense);
     type Output = Dense;
     type Config = FusedSageConfig;
-    type Assembled = ();
 
     fn kind() -> &'static str {
         "fused_sage"
@@ -971,31 +823,14 @@ impl SparseOp for FusedSageOp {
         false
     }
 
-    fn assemble(_adj: &Csr, _reqs: &[(Dense, Dense)]) -> Result<(), OpError> {
-        Err("fused sage requests do not batch".into())
-    }
-
     fn launch(
-        _rt: &Runtime,
-        _adj: &Csr,
-        _reqs: &[(Dense, Dense)],
-        _asm: &mut (),
-        _config: &FusedSageConfig,
-    ) -> Result<(), OpError> {
-        Err("fused sage requests do not batch".into())
-    }
-
-    fn outputs(_asm: (), _reqs: &[(Dense, Dense)]) -> Vec<Dense> {
-        Vec::new()
-    }
-
-    fn launch_one(
         rt: &Runtime,
         adj: &Csr,
-        (x, w): &(Dense, Dense),
+        reqs: &[(Dense, Dense)],
         _config: &FusedSageConfig,
-    ) -> Result<Dense, OpError> {
-        fused_sage_execute_on(rt, adj, x, w)
+    ) -> Result<Vec<Dense>, OpError> {
+        // Requests never batch, so this serves a slice of one.
+        reqs.iter().map(|(x, w)| fused_sage_execute_on(rt, adj, x, w)).collect()
     }
 
     fn reference(adj: &Csr, (x, w): &(Dense, Dense)) -> Result<Dense, OpError> {
@@ -1009,6 +844,18 @@ mod tests {
 
     fn rt() -> Runtime {
         Runtime::new()
+    }
+
+    /// One request served alone: a batch of one.
+    fn solo<O: SparseOp>(
+        rt: &Runtime,
+        adj: &O::Adj,
+        req: &O::Operands,
+        config: &O::Config,
+    ) -> O::Output {
+        let mut outs = O::execute_batch_on(rt, adj, std::slice::from_ref(req), config).unwrap();
+        assert_eq!(outs.len(), 1, "one output per request");
+        outs.pop().unwrap()
     }
 
     fn bit_eq(a: &[f32], b: &[f32]) -> bool {
@@ -1025,7 +872,7 @@ mod tests {
         let config = SpmmOp::default_config();
         let batched = SpmmOp::execute_batch_on(&rt, &a, &xs, &config).unwrap();
         for (x, got) in xs.iter().zip(&batched) {
-            let want = SpmmOp::execute_on(&rt, &a, x, &config).unwrap();
+            let want = solo::<SpmmOp>(&rt, &a, x, &config);
             assert!(bit_eq(got.data(), want.data()));
             assert!(got.approx_eq(&SpmmOp::reference(&a, x).unwrap(), 1e-4));
         }
@@ -1045,7 +892,7 @@ mod tests {
         let batched = SddmmOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
         assert_eq!(batched.len(), reqs.len());
         for (req, got) in reqs.iter().zip(&batched) {
-            let want = SddmmOp::execute_on(&rt, &a, req, &config).unwrap();
+            let want = solo::<SddmmOp>(&rt, &a, req, &config);
             assert!(bit_eq(got, &want));
         }
     }
@@ -1085,8 +932,8 @@ mod tests {
                 assert!(g.approx_eq(w, 1e-4));
             }
             // And bit-identical to the op's own unbatched execution.
-            let solo = AttentionOp::execute_on(&rt, &a, req, &config).unwrap();
-            for (g, s) in got.iter().zip(&solo) {
+            let alone = solo::<AttentionOp>(&rt, &a, req, &config);
+            for (g, s) in got.iter().zip(&alone) {
                 assert!(bit_eq(g.data(), s.data()));
             }
         }
@@ -1126,7 +973,7 @@ mod tests {
             weights: (0..2).map(|_| gen::random_dense(6, 5, &mut rng)).collect(),
         };
         assert!(!RgmsOp::can_batch(&req, &req));
-        let got = RgmsOp::execute_on(&rt(), &w, &req, &RgmsOp::default_config()).unwrap();
+        let got = solo::<RgmsOp>(&rt(), &w, &req, &RgmsOp::default_config());
         let want = RgmsOp::reference(&w, &req).unwrap();
         assert!(bit_eq(got.data(), want.data()));
         // The plan face covers both the naive and bucketed variants.
@@ -1161,8 +1008,8 @@ mod tests {
         assert_eq!(batched.len(), 3);
         assert_eq!(batched[1].len(), 0);
         for (req, got) in reqs.iter().zip(&batched) {
-            let solo = FusedAttentionOp::execute_on(&rt, &a, req, &config).unwrap();
-            for (g, s) in got.iter().zip(&solo) {
+            let alone = solo::<FusedAttentionOp>(&rt, &a, req, &config);
+            for (g, s) in got.iter().zip(&alone) {
                 assert!(bit_eq(g.data(), s.data()), "batched must be bit-identical to solo");
             }
             // Softmax path: relative-epsilon against the f64 reference.
@@ -1183,11 +1030,24 @@ mod tests {
         let err = FusedAttentionOp::execute_batch_on(
             &rt(),
             &a,
-            &[narrow, wide],
+            &[narrow.clone(), wide.clone()],
             &FusedAttentionOp::default_config(),
         )
         .expect_err("mixed (k, vfeat) must be rejected");
         assert!(err.to_string().contains("request 1"), "{err}");
+        // A 0-head head request rides with either shape but must not
+        // bridge them: the contract is checked pairwise.
+        let err = FusedAttentionOp::execute_batch_on(
+            &rt(),
+            &a,
+            &[vec![], narrow, wide],
+            &FusedAttentionOp::default_config(),
+        )
+        .expect_err("a 0-head request must not bridge two shapes");
+        assert!(
+            err.to_string().contains("request 2: cannot share a launch with request 1"),
+            "{err}"
+        );
         // Non-uniform heads inside one request are a validation error.
         let mut bad = attn_req(&a, 1, 2, 3, 87);
         bad.extend(attn_req(&a, 1, 2, 5, 88));
@@ -1211,7 +1071,7 @@ mod tests {
         let a = gen::random_csr(12, 12, 0.3, &mut rng);
         let req = (gen::random_dense(12, 5, &mut rng), gen::random_dense(5, 4, &mut rng));
         assert!(!FusedSageOp::can_batch(&req, &req));
-        let got = FusedSageOp::execute_on(&rt(), &a, &req, &FusedSageOp::default_config()).unwrap();
+        let got = solo::<FusedSageOp>(&rt(), &a, &req, &FusedSageOp::default_config());
         let want = FusedSageOp::reference(&a, &req).unwrap();
         assert!(got.approx_eq(&want, 1e-4));
         assert_eq!(FusedSageOp::plans(&a, &[5, 4], &FusedSageOp::default_config(), "fs").len(), 2);

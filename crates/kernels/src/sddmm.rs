@@ -225,19 +225,34 @@ pub fn sddmm_execute_on(
 /// logical `X`, its `k × n` operand as the `h`-th row-segment of the
 /// logical `Y`, and the kernel writes head `h`'s per-non-zero scores
 /// directly into `outs[h]` (which must hold `a.nnz()` elements,
-/// zero-filled). All requests must share the inner width `k`; the caller
-/// guarantees a non-empty batch.
+/// zero-filled). All requests must share the inner width `k`.
 ///
 /// # Errors
-/// Propagates lowering, view-validation and execution errors.
+/// Returns an error on an empty batch, when `outs` and `reqs` differ in
+/// length, or on mixed inner widths, and propagates lowering,
+/// view-validation and execution errors.
 pub fn sddmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
     reqs: &[(Dense, Dense)],
     outs: &mut [Vec<f32>],
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let heads = reqs.len();
-    let k = reqs[0].0.cols();
+    let Some((x0, _)) = reqs.first() else {
+        return Err("sddmm views: empty batch".into());
+    };
+    if outs.len() != reqs.len() {
+        return Err(
+            format!("sddmm views: {} outputs for {} requests", outs.len(), reqs.len()).into()
+        );
+    }
+    let (heads, k) = (reqs.len(), x0.cols());
+    if let Some(i) = reqs.iter().position(|(x, _)| x.cols() != k) {
+        return Err(format!(
+            "sddmm views: request {i} has inner width {}, request 0 has {k}",
+            reqs[i].0.cols()
+        )
+        .into());
+    }
     let f = batched_sddmm_ir(a, heads, k)?;
     let kernel = rt.compile(&f)?;
     let mut structure = Bindings::new();
@@ -275,45 +290,27 @@ pub fn batched_sddmm_ir(
     Ok(f)
 }
 
-/// Execute a *batch* of SDDMM requests against one shared adjacency as a
-/// single widened kernel launch (see [`batched_sddmm_ir`]): the per-head
-/// `X` operands bind as column segments of one logical `m × heads·feat`
-/// operand, the `Y` operands as row segments, one kernel walks the
-/// non-zeros once computing every head's dot product, and each head's
-/// scores land in its own output buffer. All requests must share the inner (reduction)
-/// width; see [`crate::op::SddmmOp`] for the batching contract. Results
-/// are bit-identical to a sequential loop of [`sddmm_execute`] calls:
-/// every `(non-zero, head)` pair keeps exactly its unbatched reduction
-/// order.
-///
-/// # Errors
-/// Returns an error on an operand-shape mismatch or mixed inner widths,
-/// and propagates lowering/execution errors.
-pub fn sddmm_batched_execute(
-    a: &Csr,
-    reqs: &[(Dense, Dense)],
-) -> Result<Vec<Vec<f32>>, Box<dyn std::error::Error>> {
-    sddmm_batched_execute_on(Runtime::global(), a, reqs)
-}
-
-/// [`sddmm_batched_execute`] through an explicit [`Runtime`].
-///
-/// # Errors
-/// Returns an error on an operand-shape mismatch or mixed inner widths,
-/// and propagates lowering/execution errors.
-pub fn sddmm_batched_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    reqs: &[(Dense, Dense)],
-) -> Result<Vec<Vec<f32>>, Box<dyn std::error::Error>> {
-    use crate::op::{SddmmOp, SparseOp};
-    SddmmOp::execute_batch_on(rt, a, reqs, &SddmmOp::default_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparsetir_smat::gen;
+
+    #[test]
+    fn views_reject_empty_and_mismatched_batches() {
+        let mut rng = gen::rng(16);
+        let a = gen::random_csr(6, 5, 0.4, &mut rng);
+        let rt = Runtime::new();
+        // An empty batch is a typed error, not an index panic.
+        let err = sddmm_execute_views_on(&rt, &a, &[], &mut []).expect_err("empty batch");
+        assert!(err.to_string().contains("empty batch"), "{err}");
+        let req = (gen::random_dense(6, 3, &mut rng), gen::random_dense(3, 5, &mut rng));
+        let err = sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut [])
+            .expect_err("missing output");
+        assert!(err.to_string().contains("0 outputs for 1 requests"), "{err}");
+        let mut outs = vec![vec![0.0f32; a.nnz()]];
+        sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut outs).unwrap();
+        assert_eq!(outs[0], sddmm_execute_on(&rt, &a, &req.0, &req.1).unwrap());
+    }
 
     #[test]
     fn ir_execution_matches_reference() {

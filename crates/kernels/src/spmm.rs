@@ -346,7 +346,9 @@ pub fn prepare_spmm(
 /// changes only address resolution, never per-column reduction order.
 ///
 /// # Errors
-/// Propagates lowering, view-validation and execution errors.
+/// Returns an error when `outs` and `xs` differ in length or an output
+/// is not `a.rows() × xs[i].cols()`, and propagates lowering,
+/// view-validation and execution errors.
 pub fn spmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -354,6 +356,21 @@ pub fn spmm_execute_views_on(
     outs: &mut [Dense],
     config: &SpmmConfig,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    if outs.len() != xs.len() {
+        return Err(format!("spmm views: {} outputs for {} operands", outs.len(), xs.len()).into());
+    }
+    for (i, (x, o)) in xs.iter().zip(outs.iter()).enumerate() {
+        if (o.rows(), o.cols()) != (a.rows(), x.cols()) {
+            return Err(format!(
+                "spmm views: output {i} is {}x{}, expected {}x{}",
+                o.rows(),
+                o.cols(),
+                a.rows(),
+                x.cols()
+            )
+            .into());
+        }
+    }
     let feat: usize = xs.iter().map(|x| x.cols()).sum();
     if feat == 0 {
         return Ok(());
@@ -416,47 +433,6 @@ pub fn tuned_spmm_execute_on(
     Ok(take_dense(&mut prepared.bindings, "C", a.rows(), x.cols()))
 }
 
-/// Execute a *batch* of SpMM requests against one shared adjacency as a
-/// single wider kernel launch: the per-request feature matrices bind as
-/// column segments of one logical operand of width `Σ feat_i`, one
-/// kernel runs at that width (with the schedule's vector split widened to
-/// span it), and each request's result lands in its own output matrix.
-/// This is the serving engine's batching primitive, expressed through the
-/// generic op layer — see [`crate::op::SpmmOp`] for the batching
-/// contract.
-///
-/// Width-0 requests are legal and yield `rows × 0` outputs without
-/// joining the widened launch; an all-empty batch skips the kernel
-/// entirely. Results are bit-identical to running each request through
-/// [`tuned_spmm_execute`] alone: column widening only widens the spatial
-/// feature axis, leaving each output column's reduction order untouched.
-///
-/// # Errors
-/// Returns an error when any feature matrix's row count differs from
-/// `a.cols()`, and propagates lowering/execution errors.
-pub fn spmm_batched_execute(
-    a: &Csr,
-    xs: &[Dense],
-    config: &SpmmConfig,
-) -> Result<Vec<Dense>, Box<dyn std::error::Error>> {
-    spmm_batched_execute_on(Runtime::global(), a, xs, config)
-}
-
-/// [`spmm_batched_execute`] through an explicit [`Runtime`].
-///
-/// # Errors
-/// Returns an error when any feature matrix's row count differs from
-/// `a.cols()`, and propagates lowering/execution errors.
-pub fn spmm_batched_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    xs: &[Dense],
-    config: &SpmmConfig,
-) -> Result<Vec<Dense>, Box<dyn std::error::Error>> {
-    use crate::op::{SparseOp, SpmmOp};
-    SpmmOp::execute_batch_on(rt, a, xs, config)
-}
-
 /// Execute the IR-path CSR SpMM through the slot-compiled executor
 /// (compile-once/run-many via the global kernel cache, `blockIdx` loops
 /// dispatched in parallel). The reference interpreter remains available
@@ -492,6 +468,7 @@ pub fn csr_spmm_interpret(a: &Csr, x: &Dense) -> Result<Dense, Box<dyn std::erro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{SparseOp, SpmmOp};
     use sparsetir_smat::gen;
 
     fn power_law_csr(rows: usize, cols: usize, seed: u64) -> Csr {
@@ -551,7 +528,7 @@ mod tests {
             SpmmConfig::default_csr(),
             SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() },
         ] {
-            let batched = spmm_batched_execute(&a, &xs, &config).unwrap();
+            let batched = SpmmOp::execute_batch_on(Runtime::global(), &a, &xs, &config).unwrap();
             assert_eq!(batched.len(), xs.len());
             for (x, got) in xs.iter().zip(&batched) {
                 let want = tuned_spmm_execute(&a, x, &config).unwrap();
@@ -568,12 +545,18 @@ mod tests {
         let mut rng = gen::rng(52);
         let a = gen::random_csr(8, 8, 0.3, &mut rng);
         // No requests at all.
-        let none = spmm_batched_execute(&a, &[], &SpmmConfig::default_csr()).unwrap();
+        let none = SpmmOp::execute_batch_on(Runtime::global(), &a, &[], &SpmmConfig::default_csr())
+            .unwrap();
         assert!(none.is_empty());
         // All-zero-width requests skip the kernel launch entirely.
         let empty = Dense::zeros(a.cols(), 0);
-        let out =
-            spmm_batched_execute(&a, &[empty.clone(), empty], &SpmmConfig::default_csr()).unwrap();
+        let out = SpmmOp::execute_batch_on(
+            Runtime::global(),
+            &a,
+            &[empty.clone(), empty],
+            &SpmmConfig::default_csr(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         for o in out {
             assert_eq!((o.rows(), o.cols()), (a.rows(), 0));
@@ -586,9 +569,35 @@ mod tests {
         let a = gen::random_csr(8, 8, 0.3, &mut rng);
         let good = gen::random_dense(8, 2, &mut rng);
         let bad = gen::random_dense(9, 2, &mut rng);
-        let err = spmm_batched_execute(&a, &[good, bad], &SpmmConfig::default_csr())
-            .expect_err("row mismatch must be rejected");
+        let err = SpmmOp::execute_batch_on(
+            Runtime::global(),
+            &a,
+            &[good, bad],
+            &SpmmConfig::default_csr(),
+        )
+        .expect_err("row mismatch must be rejected");
         assert!(err.to_string().contains("request 1"), "{err}");
+    }
+
+    #[test]
+    fn views_reject_misshapen_outputs() {
+        let mut rng = gen::rng(54);
+        let a = gen::random_csr(8, 6, 0.3, &mut rng);
+        let x = gen::random_dense(6, 3, &mut rng);
+        let rt = Runtime::new();
+        let config = SpmmConfig::default_csr();
+        // A rows x 5 output for a 3-column operand would scramble
+        // columns: it is refused before launching.
+        let mut wide = vec![Dense::zeros(8, 5)];
+        let err = spmm_execute_views_on(&rt, &a, &[&x], &mut wide, &config)
+            .expect_err("output width must match its operand");
+        assert!(err.to_string().contains("output 0 is 8x5, expected 8x3"), "{err}");
+        let err = spmm_execute_views_on(&rt, &a, &[&x, &x], &mut [Dense::zeros(8, 3)], &config)
+            .expect_err("one output per operand");
+        assert!(err.to_string().contains("1 outputs for 2 operands"), "{err}");
+        let mut outs = vec![Dense::zeros(8, 3)];
+        spmm_execute_views_on(&rt, &a, &[&x], &mut outs, &config).unwrap();
+        assert!(outs[0].approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     }
 
     #[test]
@@ -689,7 +698,7 @@ mod crosscheck_tests {
     use sparsetir_smat::gen;
     use std::collections::HashMap;
 
-    /// DESIGN.md §5.5: the simulator plan's block decomposition mirrors the
+    /// The simulator plan's block decomposition mirrors the
     /// IR schedule — assert the plan's total FLOPs equal the FLOPs the
     /// interpreter actually executes for the lowered kernel.
     #[test]

@@ -122,7 +122,7 @@ mod tests {
         let adj_csr = toy_graph(48, 9);
         let model = GraphSage::new(&adj_csr, 8, 6, 4, 11).unwrap();
         let adj = serving_adjacency(&model);
-        let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig { fuse: true, ..EngineConfig::default() });
         let mut rng = gen::rng(19);
         let x = gen::random_dense(48, 8, &mut rng);
         let served = serve_sage_forward_fused(&engine, &model, &adj, &x).unwrap();
@@ -139,7 +139,7 @@ mod tests {
         assert_eq!(engine.runtime().cached(), 2);
     }
 
-    /// The `SPARSETIR_NO_FUSE`-equivalent engine flag routes fused
+    /// The engine's fusion flag, turned off, routes fused
     /// requests to the multi-launch pipeline and still answers
     /// bit-identically to the fused engine.
     #[test]
@@ -149,8 +149,8 @@ mod tests {
         let adj = serving_adjacency(&model);
         let mut rng = gen::rng(37);
         let x = gen::random_dense(40, 6, &mut rng);
-        let fused = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
-        let unfused = Engine::new(EngineConfig { fuse: Some(false), ..EngineConfig::default() });
+        let fused = Engine::new(EngineConfig { fuse: true, ..EngineConfig::default() });
+        let unfused = Engine::new(EngineConfig { fuse: false, ..EngineConfig::default() });
         let yes = serve_sage_forward_fused(&fused, &model, &adj, &x).unwrap();
         let no = serve_sage_forward_fused(&unfused, &model, &adj, &x).unwrap();
         assert_eq!(
@@ -176,7 +176,6 @@ mod tests {
             queue_depth: 32,
             max_batch: 8,
             tune: false,
-            fuse: None,
             batch_window: None,
             ..EngineConfig::default()
         }));

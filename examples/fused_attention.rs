@@ -75,7 +75,6 @@ fn main() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: Some(true),
         batch_window: Some(std::time::Duration::from_micros(50)),
         ..EngineConfig::default()
     }));
@@ -121,8 +120,8 @@ fn main() {
         );
     }
     println!(
-        "  compiled kernels: {} (kill switch SPARSETIR_NO_FUSE or EngineConfig::fuse falls back \
-         to the three-launch pipeline)",
+        "  compiled kernels: {} (EngineConfig::fuse = false falls back to the three-launch \
+         pipeline)",
         engine.runtime().cached()
     );
 }
